@@ -105,6 +105,9 @@ type Socket struct {
 	// flushPerHome is the reusable per-flush dirty-line tally, indexed
 	// by home socket (replaces a map allocated per flush).
 	flushPerHome []int
+	// flushBuf is the reusable dirty-line list of a kernel-boundary L2
+	// flush; flushDirty reads it and keeps no reference.
+	flushBuf []mem.Victim
 
 	// Statistics.
 	LoadsLocal   stats.Counter
@@ -614,7 +617,7 @@ func (s *Socket) onCTADone(smID, ctaID int) {
 // destination into bulk bursts. The caller waits on the shared Drain.
 func (s *Socket) FlushCaches() {
 	for _, l1 := range s.l1s {
-		l1.InvalidateAll(nil) // write-through: never dirty
+		l1.InvalidateAll(nil, nil) // write-through: never dirty
 	}
 	if !s.l2IsCoherent() || s.cfg.NoL2Invalidate {
 		return
@@ -625,8 +628,8 @@ func (s *Socket) FlushCaches() {
 		// survives kernel boundaries.
 		keep = func(cl mem.Class) bool { return cl == mem.ClassLocal }
 	}
-	dirty := s.l2.InvalidateAll(keep)
-	s.flushDirty(dirty)
+	s.flushBuf = s.l2.InvalidateAll(keep, s.flushBuf[:0])
+	s.flushDirty(s.flushBuf)
 }
 
 // FlushAll force-invalidates everything including memory-side contents;
@@ -634,10 +637,10 @@ func (s *Socket) FlushCaches() {
 // writeback debt.
 func (s *Socket) FlushAll() {
 	for _, l1 := range s.l1s {
-		l1.InvalidateAll(nil)
+		l1.InvalidateAll(nil, nil)
 	}
-	dirty := s.l2.InvalidateAll(nil)
-	s.flushDirty(dirty)
+	s.flushBuf = s.l2.InvalidateAll(nil, s.flushBuf[:0])
+	s.flushDirty(s.flushBuf)
 }
 
 func (s *Socket) flushDirty(dirty []mem.Victim) {

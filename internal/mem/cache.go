@@ -5,6 +5,12 @@
 // Caches here are pure state machines — tags, LRU, dirty bits, way
 // partitions. Timing (latencies, bandwidth, MSHR merging) lives in the
 // controllers of the gpu package, which own the event scheduling.
+//
+// A Cache keeps its lines struct-of-arrays: packed tag words, LRU
+// stamps and one flag byte per line in three parallel slices, so the
+// hot set probe scans only tags. cache_ref_test.go keeps the earlier
+// array-of-structs layout as the reference model the tests compare it
+// against.
 package mem
 
 import (
@@ -36,12 +42,24 @@ func (c Class) String() string {
 	return "remote"
 }
 
-type line struct {
-	tag   arch.LineID
-	valid bool
-	dirty bool
-	class Class
-	used  uint64 // LRU stamp
+// Line flag bits, one byte per way: the dirty bit and the line's class.
+const (
+	flagDirty  uint8 = 1
+	flagRemote uint8 = 2 // set for ClassRemote
+)
+
+func classFlags(cl Class) uint8 {
+	if cl == ClassRemote {
+		return flagRemote
+	}
+	return 0
+}
+
+func flagClass(f uint8) Class {
+	if f&flagRemote != 0 {
+		return ClassRemote
+	}
+	return ClassLocal
 }
 
 // Victim describes a line evicted by an insertion or invalidation.
@@ -56,10 +74,15 @@ type Victim struct {
 // of partition (the paper's "lazy eviction" design); the partition only
 // steers victim selection on fills.
 type Cache struct {
-	sets      int
-	assoc     int
-	setMask   uint64
-	lines     []line // sets × assoc, set-major
+	sets    int
+	assoc   int
+	setMask uint64
+	// Lines are stored struct-of-arrays, sets × assoc, set-major: a set
+	// probe reads only its packed tag words (one host cache line for
+	// 8 ways, two for a 16-way L2 set).
+	tags      []uint64 // LineID+1; 0 = invalid
+	used      []uint64 // LRU stamps, unique among valid lines
+	flags     []uint8  // flagDirty | flagRemote; stale once the tag is 0
 	stamp     uint64
 	ways      [numClasses]int // current partition, sums to assoc
 	partition bool            // false: classes share all ways
@@ -85,11 +108,14 @@ func NewCache(sizeBytes, assoc int) *Cache {
 	if bits.OnesCount(uint(sets)) != 1 {
 		panic(fmt.Sprintf("mem: set count %d is not a power of two (size %dB assoc %d)", sets, sizeBytes, assoc))
 	}
+	n := sets * assoc
 	c := &Cache{
 		sets:    sets,
 		assoc:   assoc,
 		setMask: uint64(sets - 1),
-		lines:   make([]line, sets*assoc),
+		tags:    make([]uint64, n),
+		used:    make([]uint64, n),
+		flags:   make([]uint8, n),
 	}
 	c.ways[ClassLocal] = assoc
 	return c
@@ -141,23 +167,37 @@ func (c *Cache) ShiftWays(from, to Class) bool {
 	return true
 }
 
-func (c *Cache) set(l arch.LineID) []line {
-	idx := uint64(l) & c.setMask
-	return c.lines[idx*uint64(c.assoc) : (idx+1)*uint64(c.assoc)]
+// setBase returns the index of the first way of l's set.
+func (c *Cache) setBase(l arch.LineID) int {
+	return int(uint64(l)&c.setMask) * c.assoc
+}
+
+// find returns the line index holding l, or -1.
+func (c *Cache) find(l arch.LineID) int {
+	base := c.setBase(l)
+	want := uint64(l) + 1
+	for i, t := range c.tags[base : base+c.assoc] {
+		if t == want {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// victimAt describes the valid line at index i.
+func (c *Cache) victimAt(i int) Victim {
+	return Victim{Line: arch.LineID(c.tags[i] - 1), Dirty: c.flags[i]&flagDirty != 0, Class: flagClass(c.flags[i])}
 }
 
 // Lookup probes for l, updating LRU and hit statistics. It reports
 // whether the line was present. Counted against class cl (the class the
 // requester resolved for the address).
 func (c *Cache) Lookup(l arch.LineID, cl Class) bool {
-	set := c.set(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == l {
-			c.stamp++
-			set[i].used = c.stamp
-			c.Hit[cl].Hits.Inc()
-			return true
-		}
+	if i := c.find(l); i >= 0 {
+		c.stamp++
+		c.used[i] = c.stamp
+		c.Hit[cl].Hits.Inc()
+		return true
 	}
 	c.Hit[cl].Misses.Inc()
 	return false
@@ -165,28 +205,20 @@ func (c *Cache) Lookup(l arch.LineID, cl Class) bool {
 
 // Peek reports presence without touching LRU or statistics.
 func (c *Cache) Peek(l arch.LineID) bool {
-	set := c.set(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == l {
-			return true
-		}
-	}
-	return false
+	return c.find(l) >= 0
 }
 
 // MarkDirty sets the dirty bit if the line is present, reporting whether
 // it was. Used by write hits on write-back caches.
 func (c *Cache) MarkDirty(l arch.LineID) bool {
-	set := c.set(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == l {
-			set[i].dirty = true
-			c.stamp++
-			set[i].used = c.stamp
-			return true
-		}
+	i := c.find(l)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.flags[i] |= flagDirty
+	c.stamp++
+	c.used[i] = c.stamp
+	return true
 }
 
 // Fill inserts line l of class cl, dirty if requested. If the line is
@@ -194,93 +226,91 @@ func (c *Cache) MarkDirty(l arch.LineID) bool {
 // victim is chosen — within cl's way group when partitioned, globally
 // by LRU when not — and returned if it held valid data.
 func (c *Cache) Fill(l arch.LineID, cl Class, dirty bool) (Victim, bool) {
-	set := c.set(l)
+	f := classFlags(cl)
+	if dirty {
+		f |= flagDirty
+	}
 	c.stamp++
-	for i := range set {
-		if set[i].valid && set[i].tag == l {
-			set[i].used = c.stamp
-			set[i].dirty = set[i].dirty || dirty
-			set[i].class = cl
-			return Victim{}, false
-		}
+	if i := c.find(l); i >= 0 {
+		c.used[i] = c.stamp
+		c.flags[i] = c.flags[i]&flagDirty | f
+		return Victim{}, false
 	}
 	c.Fills[cl].Inc()
 
-	lo, hi := 0, c.assoc
+	base := c.setBase(l)
+	lo, hi := base, base+c.assoc
 	if c.partition {
 		// Class way groups: local owns ways [0, waysLocal), remote the
 		// rest. Contents may disagree with the group after repartition;
 		// that is the intended lazy eviction.
 		if cl == ClassLocal {
-			hi = c.ways[ClassLocal]
+			hi = base + c.ways[ClassLocal]
 		} else {
-			lo = c.ways[ClassLocal]
+			lo = base + c.ways[ClassLocal]
 		}
 	}
 	victim := lo
 	for i := lo; i < hi; i++ {
-		if !set[i].valid {
+		if c.tags[i] == 0 {
 			victim = i
 			break
 		}
-		if set[i].used < set[victim].used {
+		if c.used[i] < c.used[victim] {
 			victim = i
 		}
 	}
 	var out Victim
 	had := false
-	if set[victim].valid {
-		out = Victim{Line: set[victim].tag, Dirty: set[victim].dirty, Class: set[victim].class}
+	if c.tags[victim] != 0 {
+		out = c.victimAt(victim)
 		had = true
-		c.Evic[set[victim].class].Inc()
+		c.Evic[out.Class].Inc()
 	}
-	set[victim] = line{tag: l, valid: true, dirty: dirty, class: cl, used: c.stamp}
+	c.tags[victim] = uint64(l) + 1
+	c.used[victim] = c.stamp
+	c.flags[victim] = f
 	return out, had
 }
 
 // InvalidateAll invalidates every line for which keep returns false and
-// returns the dirty lines among them (so the caller can route
-// writebacks). A nil keep invalidates everything.
-func (c *Cache) InvalidateAll(keep func(cl Class) bool) []Victim {
-	var dirty []Victim
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if !ln.valid {
+// appends the dirty lines among them to dirty, in line order, returning
+// the extended slice (so the caller can route writebacks from a buffer
+// it reuses). A nil keep invalidates everything.
+func (c *Cache) InvalidateAll(keep func(cl Class) bool, dirty []Victim) []Victim {
+	for i, t := range c.tags {
+		if t == 0 {
 			continue
 		}
-		if keep != nil && keep(ln.class) {
+		if keep != nil && keep(flagClass(c.flags[i])) {
 			continue
 		}
-		if ln.dirty {
-			dirty = append(dirty, Victim{Line: ln.tag, Dirty: true, Class: ln.class})
+		if c.flags[i]&flagDirty != 0 {
+			dirty = append(dirty, c.victimAt(i))
 		}
-		ln.valid = false
-		ln.dirty = false
+		c.tags[i] = 0
 	}
 	return dirty
 }
 
 // Invalidate drops a single line if present, returning its victim info.
 func (c *Cache) Invalidate(l arch.LineID) (Victim, bool) {
-	set := c.set(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == l {
-			v := Victim{Line: set[i].tag, Dirty: set[i].dirty, Class: set[i].class}
-			set[i].valid = false
-			set[i].dirty = false
-			return v, true
-		}
+	i := c.find(l)
+	if i < 0 {
+		return Victim{}, false
 	}
-	return Victim{}, false
+	v := c.victimAt(i)
+	c.tags[i] = 0
+	return v, true
 }
 
 // CountValid reports how many valid lines of each class are resident.
 func (c *Cache) CountValid() (local, remote int) {
-	for i := range c.lines {
-		if !c.lines[i].valid {
+	for i, t := range c.tags {
+		if t == 0 {
 			continue
 		}
-		if c.lines[i].class == ClassLocal {
+		if flagClass(c.flags[i]) == ClassLocal {
 			local++
 		} else {
 			remote++

@@ -93,7 +93,7 @@ func TestFillRefreshesAndMergesDirty(t *testing.T) {
 	if _, evicted := c.Fill(7, ClassLocal, true); evicted {
 		t.Fatal("refill of resident line must not evict")
 	}
-	dirty := c.InvalidateAll(nil)
+	dirty := c.InvalidateAll(nil, nil)
 	if len(dirty) != 1 || dirty[0].Line != 7 {
 		t.Fatalf("dirty set %v, want line 7", dirty)
 	}
@@ -108,7 +108,7 @@ func TestMarkDirty(t *testing.T) {
 	if !c.MarkDirty(9) {
 		t.Fatal("resident line must be dirtied")
 	}
-	dirty := c.InvalidateAll(nil)
+	dirty := c.InvalidateAll(nil, nil)
 	if len(dirty) != 1 || dirty[0].Class != ClassRemote {
 		t.Fatalf("dirty %v", dirty)
 	}
@@ -186,7 +186,7 @@ func TestInvalidateAllWithKeep(t *testing.T) {
 	c := tiny()
 	c.Fill(0, ClassLocal, true)
 	c.Fill(8, ClassRemote, true)
-	dirty := c.InvalidateAll(func(cl Class) bool { return cl == ClassLocal })
+	dirty := c.InvalidateAll(func(cl Class) bool { return cl == ClassLocal }, nil)
 	if len(dirty) != 1 || dirty[0].Class != ClassRemote {
 		t.Fatalf("dirty %v, want only the remote line", dirty)
 	}

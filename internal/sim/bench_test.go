@@ -9,9 +9,10 @@ package sim
 
 import "testing"
 
-// warmup laps the ring once so bucket backing arrays reach their
-// steady-state capacity before measurement: the engine's hot path is
-// allocation-free only once warmed, exactly like a long simulation.
+// warmup queues more events at once than any benchmark below keeps
+// pending, so the event slab has reached its steady-state size before
+// measurement: the engine's hot path is allocation-free only once
+// warmed, exactly like a long simulation, where freed slots are reused.
 func warmup(e *Engine) {
 	for i := 0; i < 2*ringSize; i++ {
 		e.Schedule(Time(i%64)+1, func(Time) {})

@@ -8,10 +8,15 @@
 // Internally the engine is a two-level bucketed calendar queue: a ring
 // of per-cycle FIFO buckets covering the near future plus an overflow
 // heap for everything beyond it (see the scheduling invariant on
-// Engine). Nearly every delay in the GPU model is a small constant —
-// cache latencies, NoC hops, compute delays — so almost all traffic
-// takes the O(1) bucket path; only long timers (policy samplers) and
-// deeply backlogged transfers touch the heap.
+// Engine). The buckets are linked lists threaded through one shared
+// event slab whose freed slots are reused, so a warmed-up engine
+// schedules without allocating and keeps its queued events packed in
+// one array. Nearly every delay in the GPU model is a
+// small constant — cache latencies, NoC hops, compute delays — so
+// almost all traffic takes the O(1) bucket path. The heap takes the
+// 5K-cycle policy samplers and transfer completions queued behind deep
+// link or DRAM backlogs: 1.2% of the inserts of a Figure 11 sweep at
+// -quick scale (see ringBits).
 package sim
 
 // Time is a point in virtual time, measured in clock cycles.
@@ -29,13 +34,16 @@ type Event func(now Time)
 type ArgEvent func(now Time, arg int)
 
 // ringBits sizes the near-future ring: 2^ringBits consecutive cycles
-// have their own FIFO bucket. 1024 cycles covers every fixed latency in
-// the model (L1 28, L2 96, DRAM 100, link 128, lane turnaround 100…);
-// the 5K-cycle policy samplers and far-backlogged transfer completions
-// overflow into the far heap, which is exactly as fast as the engine
-// this design replaced.
+// have their own FIFO bucket. Every fixed latency in the model (L1 28,
+// L2 96, DRAM 100, link 128, lane turnaround 100…) fits many times
+// over; the ring is as wide as it is so that backlogged transfer
+// completions, hundreds to thousands of cycles out, stay off the heap.
+// Measured over a Figure 11 sweep at -quick scale (99.3M inserts), the
+// heap takes 10.6% of inserts at 2^10 cycles, 1.2% at 2^12 and 0.6% at
+// 2^13; 2^12 keeps the bucket array at 32 KiB, and the doubled ring
+// buys only half a percent more.
 const (
-	ringBits = 10
+	ringBits = 12
 	ringSize = 1 << ringBits
 	ringMask = ringSize - 1
 )
@@ -64,13 +72,10 @@ func (s *scheduled) call(now Time) {
 	}
 }
 
-// bucket is the FIFO of one ring cycle: items[head:] are pending,
-// items[:head] have run. The backing array is retained across cycles
-// (head==len resets to items[:0]), so a warmed-up engine schedules and
-// executes bucket events with zero allocations.
+// bucket is the FIFO of one ring cycle: a singly linked list through
+// the engine's event slab. head and tail are slab index+1, 0 = empty.
 type bucket struct {
-	items []scheduled
-	head  int
+	head, tail int32
 }
 
 // Engine is a discrete-event scheduler. The zero value is ready to use.
@@ -97,6 +102,17 @@ type Engine struct {
 	far   farHeap
 	ring  [ringSize]bucket
 
+	// slab holds every ring-resident event; next[i] links slot i to the
+	// next event of its bucket (unset for a bucket's tail), or, for a
+	// free slot, to the next free slot (index+1, 0 = end). The links sit
+	// beside the slab rather than inside each node, which keeps the
+	// nodes at 48 bytes. Freed slots are reused LIFO, so a warmed-up
+	// engine schedules and executes bucket events with zero
+	// allocations, on slots still in the host cache.
+	slab []scheduled
+	next []int32
+	free int32 // first free slot, index+1; 0 = none
+
 	// seqp, when non-nil, is a stamp counter shared with other engines:
 	// every insert takes its seq from *seqp instead of the local counter.
 	// The ParallelEngine's lockstep mode points all shards at one counter
@@ -122,20 +138,48 @@ func (e *Engine) Pending() int { return e.ringN + len(e.far) }
 // insert queues it at absolute time at (which must be >= e.now).
 func (e *Engine) insert(at Time, it scheduled) {
 	e.seq++
-	it.at = at
+	seq := e.seq
 	if e.seqp != nil {
 		*e.seqp++
-		it.seq = *e.seqp
-	} else {
-		it.seq = e.seq
+		seq = *e.seqp
 	}
-	if at < e.now+ringSize {
-		b := &e.ring[at&ringMask]
-		b.items = append(b.items, it)
-		e.ringN++
+	if at >= e.now+ringSize {
+		it.at, it.seq = at, seq
+		e.far.push(it)
 		return
 	}
-	e.far.push(it)
+	// Stored field by field: a whole-struct copy reads the spilled
+	// argument back with wider loads than wrote it, which stalls the
+	// host's store forwarding on the hottest line of the simulator.
+	s := e.enqueue(&e.ring[at&ringMask])
+	s.at, s.seq, s.fn, s.tfn, s.afn, s.arg = at, seq, it.fn, it.tfn, it.afn, it.arg
+}
+
+// enqueue links the most recently freed slab slot onto the tail of
+// bucket b and returns it for the caller to fill.
+func (e *Engine) enqueue(b *bucket) *scheduled {
+	if e.free == 0 {
+		e.grow()
+	}
+	i := e.free
+	e.free = e.next[i-1]
+	if b.tail == 0 {
+		b.head = i
+	} else {
+		e.next[b.tail-1] = i
+	}
+	b.tail = i
+	e.ringN++
+	return &e.slab[i-1]
+}
+
+// grow adds one slot to the slab and puts it on the empty free list.
+// It is a function of its own so that enqueue stays within the
+// compiler's inlining budget.
+func (e *Engine) grow() {
+	e.slab = append(e.slab, scheduled{})
+	e.next = append(e.next, 0)
+	e.free = int32(len(e.slab))
 }
 
 // Schedule runs fn after delay cycles. A delay of zero runs fn later in
@@ -197,9 +241,7 @@ func (e *Engine) setNow(t Time) {
 	horizon := t + ringSize
 	for len(e.far) > 0 && e.far[0].at < horizon {
 		it := e.far.pop()
-		b := &e.ring[it.at&ringMask]
-		b.items = append(b.items, it)
-		e.ringN++
+		*e.enqueue(&e.ring[it.at&ringMask]) = it
 	}
 }
 
@@ -222,8 +264,7 @@ func (e *Engine) peek() (Time, bool) {
 		// probes; buckets of already-executed cycles are reset to empty,
 		// so starting at now is safe even after the current cycle drains.
 		for t := e.now; ; t++ {
-			b := &e.ring[t&ringMask]
-			if b.head < len(b.items) {
+			if e.ring[t&ringMask].head != 0 {
 				return t, true
 			}
 		}
@@ -242,9 +283,8 @@ func (e *Engine) peek() (Time, bool) {
 func (e *Engine) peekHead() (Time, uint64, bool) {
 	if e.ringN > 0 {
 		for t := e.now; ; t++ {
-			b := &e.ring[t&ringMask]
-			if b.head < len(b.items) {
-				return t, b.items[b.head].seq, true
+			if h := e.ring[t&ringMask].head; h != 0 {
+				return t, e.slab[h-1].seq, true
 			}
 		}
 	}
@@ -257,19 +297,25 @@ func (e *Engine) peekHead() (Time, uint64, bool) {
 // Step executes the single next event and reports whether one existed.
 func (e *Engine) Step() bool {
 	b := &e.ring[e.now&ringMask]
-	if b.head >= len(b.items) {
+	if b.head == 0 {
 		if !e.advance() {
 			return false
 		}
 		b = &e.ring[e.now&ringMask]
 	}
-	it := b.items[b.head]
-	b.items[b.head] = scheduled{} // release callback references
-	b.head++
-	if b.head == len(b.items) {
-		b.items = b.items[:0]
-		b.head = 0
+	i := b.head
+	s := &e.slab[i-1]
+	// Copied field by field for the same store-forwarding reason as in
+	// insert: the slot was often written only a few events ago.
+	it := scheduled{fn: s.fn, tfn: s.tfn, afn: s.afn, arg: s.arg}
+	*s = scheduled{} // release callback references
+	if i == b.tail {
+		*b = bucket{}
+	} else {
+		b.head = e.next[i-1]
 	}
+	e.next[i-1] = e.free
+	e.free = i
 	e.ringN--
 	e.nRun++
 	it.call(e.now)
@@ -309,13 +355,13 @@ func (e *Engine) RunUntil(deadline Time) bool {
 // events, counters cleared. Use it before reusing an Engine for a fresh
 // simulation — any events still queued (after a RunUntil stop, a
 // stopped Ticker, or an abandoned run) are discarded rather than leaking
-// into the next run. Bucket backing arrays are released along with the
-// event callbacks they reference.
+// into the next run. Their callback references are released; the slab
+// and heap keep their capacity for the next run.
 func (e *Engine) Reset() {
-	for i := range e.ring {
-		e.ring[i] = bucket{}
-	}
-	e.far = nil
+	e.ring = [ringSize]bucket{}
+	clear(e.slab)
+	clear(e.far)
+	e.slab, e.next, e.far, e.free = e.slab[:0], e.next[:0], e.far[:0], 0
 	e.now, e.seq, e.nRun, e.ringN = 0, 0, 0, 0
 }
 

@@ -211,6 +211,13 @@ func TestEquivalenceKnownHardCases(t *testing.T) {
 		"far-same-cycle": {2, 1, 2, 1, 2, 1, 2, 1},
 		// Alternate ring and heap inserts at the window edge.
 		"window-edge": {3, 0, 3, 1, 3, 2, 3, 3, 3, 4, 3, 0},
+		// The same straddle issued from far events, a window or more on,
+		// so the edge falls on wrapped ring indices. The first 8 ops run
+		// at time 0; each later op runs inside the event before it.
+		"window-edge-wrapped": {
+			2, 0, 2, 0, 2, 1, 2, 1, 2, 2, 2, 100, 2, 200, 2, 255,
+			3, 0, 3, 1, 3, 2, 3, 3, 3, 4, 3, 0, 3, 1, 3, 2, 3, 3, 3, 4, 1, 0,
+		},
 		// Past-At clamping intermixed with zero delays.
 		"past-at": {0, 20, 4, 0, 1, 0, 4, 1, 1, 0},
 		// Deep nesting: every event schedules the next.

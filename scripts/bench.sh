@@ -5,8 +5,11 @@
 # replaced, model-level datapath benchmarks (ns and allocs per access
 # pattern, internal/gpu), the wall-clock time of regenerating every
 # experiment at -quick scale, and an append-only `history` array that
-# preserves the headline numbers across runs/PRs. See docs/PERF.md for
-# how to read the output.
+# preserves the headline numbers across runs/PRs. The snapshot and each
+# history entry carry a `host` fingerprint (nproc, CPU model, the
+# GOMAXPROCS the benchmarks ran at, Go version), so numbers from
+# different machines are not compared as if they were a trend. See
+# docs/PERF.md for how to read the output.
 #
 #   scripts/bench.sh            # full run: 1s benchtime + the -quick suite
 #   scripts/bench.sh --fast     # CI smoke: 100ms benchtime, no -quick suite
@@ -31,6 +34,9 @@ for arg in "$@"; do
 done
 
 out=BENCH_sim.json
+host_nproc=$(nproc)
+host_cpu=$(awk -F: '/^model name/ { sub(/^[ \t]+/, "", $2); print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
+host_cpu=${host_cpu:-$(uname -m)}
 engbench=$(go test -run '^$' -bench Engine -benchmem -benchtime "$BENCHTIME" ./internal/sim)
 printf '%s\n' "$engbench"
 modelbench=$(go test -run '^$' -bench Model -benchmem -benchtime "$BENCHTIME" ./internal/gpu)
@@ -172,8 +178,12 @@ current=$(printf '%s\n%s\n' "$engbench" "$modelbench" | awk \
   -v obs_overhead_pct="$obs_overhead_pct" \
   -v benchtime="$BENCHTIME" \
   -v goversion="$(go env GOVERSION)" \
+  -v nproc="$host_nproc" \
+  -v cpu="$host_cpu" \
   -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 /^Benchmark/ {
+  # go test appends -GOMAXPROCS to the name unless it is 1.
+  gomaxprocs = match($1, /-[0-9]+$/) ? substr($1, RSTART + 1) : 1
   name = $1; sub(/-[0-9]+$/, "", name)
   for (i = 2; i < NF; i++) {
     if ($(i+1) == "ns/op")     ns[name] = $i
@@ -194,6 +204,8 @@ END {
   printf "  \"generated_by\": \"scripts/bench.sh\",\n"
   printf "  \"date\": \"%s\",\n", date
   printf "  \"go\": \"%s\",\n", goversion
+  gsub(/[\\"]/, "", cpu)
+  printf "  \"host\": {\"nproc\": %d, \"cpu\": \"%s\", \"gomaxprocs\": %d, \"go\": \"%s\"},\n", nproc, cpu, gomaxprocs, goversion
   printf "  \"benchtime\": \"%s\",\n", benchtime
   printf "  \"engine\": {\n"
   printf "    \"steady_state\": %s,\n",   entry("BenchmarkEngineSteadyState")
@@ -254,6 +266,7 @@ if command -v jq >/dev/null 2>&1; then
        else {} end)
     + {history: (($prev.history // []) + [({
         date: $cur.date,
+        host: $cur.host,
         benchtime: $cur.benchtime,
         quick_all_wall_seconds: $cur.quick_all_wall_seconds,
         engine_steady_ns_per_event: $cur.engine.steady_state.ns_per_event,
