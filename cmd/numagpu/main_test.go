@@ -193,19 +193,18 @@ func TestRunGoldenOutput(t *testing.T) {
 	}
 }
 
-func TestRunShardedGoldenIdentical(t *testing.T) {
-	// -shards is execution policy: the golden rendering of a sharded run
-	// must be byte-identical to the serial run of the same experiment.
-	code, serial, stderr := runCLI(t, "-quick", "-golden", "fig2")
-	if code != 0 {
-		t.Fatalf("serial exit %d, want 0 (stderr: %s)", code, stderr)
+func TestRunShardsFlagRemoved(t *testing.T) {
+	// The sharded engine is gone; a script still passing its flag must
+	// fail loudly with a flag error, not run serially in silence.
+	code, stdout, stderr := runCLI(t, "-shards", "4", "-quick", "-golden", "fig2")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2 (stderr: %s)", code, stderr)
 	}
-	code, sharded, stderr := runCLI(t, "-quick", "-shards", "4", "-golden", "fig2")
-	if code != 0 {
-		t.Fatalf("sharded exit %d, want 0 (stderr: %s)", code, stderr)
+	if !strings.Contains(stderr, "flag provided but not defined: -shards") {
+		t.Fatalf("stderr missing flag error:\n%s", stderr)
 	}
-	if serial != sharded {
-		t.Fatal("-shards 4 output diverged from serial -golden output")
+	if stdout != "" {
+		t.Fatalf("rejected run printed output:\n%s", stdout)
 	}
 }
 

@@ -43,8 +43,7 @@ type Program struct {
 
 // System is the single logical NUMA GPU exposed to the programmer.
 type System struct {
-	eng     *sim.Engine         // the runtime/fabric engine: home shard when sharded, the only engine otherwise
-	pe      *sim.ParallelEngine // sharded execution (Config.EngineShards > 1); nil for serial runs
+	eng     *sim.Engine
 	cfg     arch.Config
 	mem     *vmm.Memory
 	fabric  *xlink.Fabric // nil when Sockets == 1
@@ -72,38 +71,13 @@ func NewSystem(cfg arch.Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{
+		eng:   sim.New(),
 		cfg:   cfg,
 		mem:   vmm.NewWeighted(cfg.Sockets, cfg.Placement, socketWeights(cfg)),
 		drain: &gpu.Drain{},
 	}
-	// Sharded execution: min(EngineShards, Sockets) socket shards plus a
-	// fabric/home shard, run in lockstep so the global (time, seq)
-	// schedule — and every result — is byte-identical to the serial
-	// engine. The model's sockets are synchronously coupled outside the
-	// event queue (first-touch placement, home-side service, the drain
-	// counter), so free-running windows would need state partitioning
-	// first; lockstep still gives shard-assigned queues, per-shard event
-	// accounting, and runtime validation of the lookahead bound.
-	shards := cfg.EngineShards
-	if shards > cfg.Sockets {
-		shards = cfg.Sockets
-	}
-	if shards > 1 {
-		// Lookahead starts at the floor and is raised to the derived
-		// bound once the fabric exists.
-		s.pe = sim.NewLockstep(shards+1, 1)
-		s.eng = s.pe.Shard(shards)
-	} else {
-		s.eng = sim.New()
-	}
 	if cfg.Sockets > 1 {
 		s.fabric = xlink.NewFabric(s.eng, cfg)
-	}
-	if s.pe != nil && s.fabric != nil {
-		if la := s.fabric.MinPathCost(); la > 1 {
-			s.pe.SetLookahead(la)
-		}
-		s.fabric.EnableSharding(s.pe, func(id arch.SocketID) int { return int(id) % shards })
 	}
 	if cfg.Obs.Enabled() {
 		s.obsc = obs.New(cfg.Obs)
@@ -113,18 +87,14 @@ func NewSystem(cfg arch.Config) (*System, error) {
 		if s.fabric != nil {
 			port = s.fabric.Port(arch.SocketID(i))
 		}
-		eng := s.eng
-		if s.pe != nil {
-			eng = s.pe.Shard(i % shards)
-		}
-		sock := gpu.NewSocket(eng, socketConfig(cfg, i), arch.SocketID(i), s.mem, s, port, s.drain, s.onSocketDone)
+		sock := gpu.NewSocket(s.eng, socketConfig(cfg, i), arch.SocketID(i), s.mem, s, port, s.drain, s.onSocketDone)
 		s.sockets = append(s.sockets, sock)
 		if s.obsc != nil {
-			s.obsc.AddSocket(eng, socketConfig(cfg, i), sock)
+			s.obsc.AddSocket(socketConfig(cfg, i), sock)
 		}
 	}
 	if s.obsc != nil {
-		s.obsc.AddFabric(s.eng, s.fabric)
+		s.obsc.AddFabric(s.fabric)
 		if t := s.obsc.Trace(); t != nil {
 			s.tr = newObsTrace(t, cfg.Sockets)
 		}
@@ -192,14 +162,8 @@ func MustSystem(cfg arch.Config) *System {
 	return s
 }
 
-// Engine exposes the simulation engine (examples, tests). When the
-// system is sharded this is the fabric/home shard; drive execution
-// through Run, not the shard engines.
+// Engine exposes the simulation engine (examples, tests).
 func (s *System) Engine() *sim.Engine { return s.eng }
-
-// Parallel exposes the sharded engine, nil for serial runs — tests use
-// it for event-count parity and cross-shard delivery accounting.
-func (s *System) Parallel() *sim.ParallelEngine { return s.pe }
 
 // Config reports the system configuration.
 func (s *System) Config() arch.Config { return s.cfg }
@@ -285,11 +249,7 @@ func (s *System) Run(prog Program) Result {
 	s.kernels = prog.Kernels
 	s.startPolicies()
 	s.launchNext()
-	if s.pe != nil {
-		s.pe.Run()
-	} else {
-		s.eng.Run()
-	}
+	s.eng.Run()
 	if !s.finished {
 		msg := fmt.Sprintf("core: simulation deadlocked: kernel %d/%d, socketsLeft=%d, drain=%d",
 			s.kernelIdx, len(s.kernels), s.socketsLeft, s.drain.Outstanding())
@@ -343,7 +303,7 @@ func (s *System) startPolicies() {
 		s.profiler.start(s.eng)
 	}
 	if s.obsc != nil {
-		s.obsc.Start()
+		s.obsc.Start(s.eng)
 	}
 }
 

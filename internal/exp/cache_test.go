@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/topo"
+	"repro/internal/workload"
 )
 
 // mapCache is an in-memory exp.Cache with call accounting.
@@ -117,6 +118,23 @@ func TestRunKeyEncodesScale(t *testing.T) {
 	}
 }
 
+// TestRunKeyPinned pins one literal run key across builds. A persistent
+// DiskCache is only warm for a new binary if its keys are unchanged, so
+// adding or removing an arch.Config field that is not part of the key
+// must leave this string alone; a deliberate key change goes with a
+// cacheSchema bump and a new literal here.
+func TestRunKeyPinned(t *testing.T) {
+	spec, ok := workload.ByName("HPC-RSBench")
+	if !ok {
+		t.Fatal("missing workload HPC-RSBench")
+	}
+	const want = "v3|s4.sm64.l24194304.dram768.lane8/8.sched1.place2.cache0.link0.wtfalse.noinvfalse.st5000.ct5000.lt100" +
+		".w64.cta32.iw1.l1_131072/4/28.l2_16/16/96.noc2048/12.dl100.ll128.sl16.hdr32/32|HPC-RSBench|iter0.25.cap0"
+	if got := NewRunner(QuickOptions()).RunKey(arch.PaperConfig(), spec); got != want {
+		t.Fatalf("RunKey drifted; every on-disk cache would go cold.\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestRunKeyCoversEveryConfigField perturbs each arch.Config field in
 // turn and requires the run key to change: the persistent cache is
 // only safe if no result-affecting parameter is outside the key. A new
@@ -126,12 +144,10 @@ func TestRunKeyEncodesScale(t *testing.T) {
 func TestRunKeyCoversEveryConfigField(t *testing.T) {
 	// Execution policy fields change how the simulation runs, not what
 	// it computes; keying them would needlessly split shared caches.
-	// EngineShards: byte-identity is enforced by TestGoldenMastersSharded
-	// and core's TestShardedRunMatchesSerial.
 	// Obs: observation is read-only by construction; byte-identity with
 	// sampling on is enforced by TestObsOnByteIdentical and the exemption
 	// itself by TestRunKeyIgnoresObs.
-	policy := map[string]bool{"EngineShards": true, "Obs": true}
+	policy := map[string]bool{"Obs": true}
 	r := NewRunner(tinyOptions())
 	spec := r.opts.Workloads[0]
 	base := arch.PaperConfig()

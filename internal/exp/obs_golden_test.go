@@ -50,9 +50,7 @@ func TestObsOffByteIdentical(t *testing.T) {
 // cache-key exemption: every registered experiment reruns with series
 // sampling AND tracing enabled and must still match the golden masters
 // byte-for-byte — observation tickers fire throughout the run, yet the
-// simulation's own event stream is untouched. A second pass reruns a
-// subset on the sharded engine (EngineShards 4), covering the
-// obs-ticker × lockstep-shard interaction.
+// simulation's own event stream is untouched.
 //
 // Never run with -update: the fixtures are owned by TestGoldenMasters.
 func TestObsOnByteIdentical(t *testing.T) {
@@ -70,42 +68,28 @@ func TestObsOnByteIdentical(t *testing.T) {
 			traced.Add(int64(tr.Len()))
 		}
 	}
-	diff := func(t *testing.T, runner *Runner, e Experiment, mode string) {
-		got := RenderGolden(e.Run(runner))
-		want, err := os.ReadFile(goldenPath(e.Name))
-		if err != nil {
-			t.Fatalf("missing golden fixture (regenerate with TestGoldenMasters -update): %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s %s output diverged with sampling on (%d bytes got, %d want).\n"+
-				"Observation must be byte-inert; do NOT regenerate fixtures for this.\n"+
-				"--- got ---\n%s\n--- want ---\n%s",
-				e.Name, mode, len(got), len(want), firstDiffWindow(got, want), firstDiffWindow(want, got))
-		}
-	}
-
 	runner := NewRunner(o)
 	for _, e := range Experiments() {
 		e := e
-		t.Run(e.Name, func(t *testing.T) { diff(t, runner, e, "serial") })
+		t.Run(e.Name, func(t *testing.T) {
+			got := RenderGolden(e.Run(runner))
+			want, err := os.ReadFile(goldenPath(e.Name))
+			if err != nil {
+				t.Fatalf("missing golden fixture (regenerate with TestGoldenMasters -update): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s output diverged with sampling on (%d bytes got, %d want).\n"+
+					"Observation must be byte-inert; do NOT regenerate fixtures for this.\n"+
+					"--- got ---\n%s\n--- want ---\n%s",
+					e.Name, len(got), len(want), firstDiffWindow(got, want), firstDiffWindow(want, got))
+			}
+		})
 	}
 	if sampled.Load() == 0 || traced.Load() == 0 {
 		t.Fatalf("sampling on but collectors stayed empty (%d samples, %d trace events): the test proved nothing",
 			sampled.Load(), traced.Load())
 	}
 
-	// Sharded pass: fig3 exercises socket scaling, fig5 the link
-	// profiler (the other sampling ticker in the system).
-	os2 := o
-	os2.EngineShards = 4
-	sharded := NewRunner(os2)
-	for _, name := range []string{"fig3", "fig5"} {
-		e, ok := ExperimentByName(name)
-		if !ok {
-			t.Fatalf("unknown experiment %q", name)
-		}
-		t.Run(name+"-sharded", func(t *testing.T) { diff(t, sharded, e, "sharded") })
-	}
 }
 
 // TestObsSeriesGolden pins the series CSV flush format — the surface

@@ -142,11 +142,9 @@ func (c *Collector) newSeries(name string, socket int) *Series {
 	return s
 }
 
-// AddSocket registers the series probe for one socket. eng must be the
-// engine the socket's events run on (its shard under sharded
-// execution) so the sampling ticker interleaves deterministically; cfg
-// is the socket's own configuration (topology overrides applied).
-func (c *Collector) AddSocket(eng *sim.Engine, cfg arch.Config, sock *gpu.Socket) {
+// AddSocket registers the series probe for one socket; cfg is the
+// socket's own configuration (topology overrides applied).
+func (c *Collector) AddSocket(cfg arch.Config, sock *gpu.Socket) {
 	if c.nProcs <= int(sock.ID())+1 {
 		c.nProcs = int(sock.ID()) + 2 // + the runtime track
 	}
@@ -154,7 +152,7 @@ func (c *Collector) AddSocket(eng *sim.Engine, cfg arch.Config, sock *gpu.Socket
 		return
 	}
 	id := int(sock.ID())
-	p := &socketProbe{sock: sock, cfg: cfg, eng: eng, period: c.period}
+	p := &socketProbe{sock: sock, cfg: cfg, period: c.period}
 	p.occ = c.newSeries(fmt.Sprintf("socket%d/sm_occupancy", id), id)
 	p.ready = c.newSeries(fmt.Sprintf("socket%d/warp_ready_frac", id), id)
 	p.waitComp = c.newSeries(fmt.Sprintf("socket%d/warp_wait_compute_frac", id), id)
@@ -169,13 +167,12 @@ func (c *Collector) AddSocket(eng *sim.Engine, cfg arch.Config, sock *gpu.Socket
 	c.sockets = append(c.sockets, p)
 }
 
-// AddFabric registers the per-physical-link probe. eng must be the
-// fabric's engine (the home shard under sharded execution).
-func (c *Collector) AddFabric(eng *sim.Engine, fab *xlink.Fabric) {
+// AddFabric registers the per-physical-link probe.
+func (c *Collector) AddFabric(fab *xlink.Fabric) {
 	if !c.spec.Series || fab == nil {
 		return
 	}
-	p := &fabricProbe{eng: eng, period: c.period}
+	p := &fabricProbe{period: c.period}
 	for i := 0; i < fab.NumLinks(); i++ {
 		l := fab.LinkAt(i)
 		lp := linkProbe{link: l}
@@ -189,20 +186,21 @@ func (c *Collector) AddFabric(eng *sim.Engine, fab *xlink.Fabric) {
 }
 
 // Start arms one sampling ticker per registered socket plus one for
-// the fabric. Tick events are read-only: they interleave with model
-// events but never change them, so the simulated schedule — and every
-// result — is identical with sampling on or off.
-func (c *Collector) Start() {
+// the fabric on eng, the engine the model runs on. Tick events are
+// read-only: they interleave with model events but never change them,
+// so the simulated schedule — and every result — is identical with
+// sampling on or off.
+func (c *Collector) Start(eng *sim.Engine) {
 	if !c.spec.Series {
 		return
 	}
 	for _, p := range c.sockets {
-		t := sim.NewTicker(p.eng, c.period, p.sample)
+		t := sim.NewTicker(eng, c.period, p.sample)
 		c.tickers = append(c.tickers, t)
 		t.Start()
 	}
 	if c.fabric != nil {
-		t := sim.NewTicker(c.fabric.eng, c.period, c.fabric.sample)
+		t := sim.NewTicker(eng, c.period, c.fabric.sample)
 		c.tickers = append(c.tickers, t)
 		t.Start()
 	}
@@ -234,7 +232,6 @@ func (c *Collector) SampleAll(now sim.Time) {
 type socketProbe struct {
 	sock   *gpu.Socket
 	cfg    arch.Config
-	eng    *sim.Engine
 	period sim.Time
 
 	occ, ready, waitComp, waitMem  *Series
@@ -311,7 +308,6 @@ func (p *socketProbe) sample(now sim.Time) {
 // bandwidth, queue depth as the serialization backlog in cycles, and
 // communication power at the Section 6 energy per bit.
 type fabricProbe struct {
-	eng    *sim.Engine
 	period sim.Time
 	links  []linkProbe
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/workload"
 )
 
 // waitJobState polls until the job reaches want or the deadline hits.
@@ -359,6 +360,19 @@ func TestEndpointErrorEnvelope(t *testing.T) {
 	srv.jobs["job-bad"] = &job{id: "job-bad", state: JobFailed, err: "boom"}
 	srv.mu.Unlock()
 
+	// A fabric run that is valid in every respect except that its config
+	// still carries the removed engine shard-count knob: it must be refused,
+	// not silently simulated on the serial engine.
+	spec, _ := workload.ByName("Other-Stream-Triad")
+	cfg := srv.runner.Base(2)
+	run, _ := json.Marshal(WireRun{Key: srv.runners.runner(0.1, 64).RunKey(cfg, spec), Cfg: cfg, Workload: spec.Name, IterScale: 0.1, MaxCTAs: 64})
+	var wire map[string]any
+	if err := json.Unmarshal(run, &wire); err != nil {
+		t.Fatal(err)
+	}
+	wire["cfg"].(map[string]any)["EngineShards"] = 4
+	shardedRun, _ := json.Marshal(wire)
+
 	cases := []struct {
 		name   string
 		method string
@@ -379,6 +393,7 @@ func TestEndpointErrorEnvelope(t *testing.T) {
 		{"unfinished result", "GET", "/v1/jobs/job-queued/result", "", 409, "not_ready"},
 		{"failed result", "GET", "/v1/jobs/job-bad/result", "", 500, "job_failed"},
 		{"malformed fabric run", "POST", "/v1/fabric/runs", "{nope", 400, "invalid_argument"},
+		{"removed shard-count knob", "POST", "/v1/fabric/runs", string(shardedRun), 400, "invalid_argument"},
 		{"unknown fabric run", "GET", "/v1/fabric/runs/nope", "", 404, "not_found"},
 		{"unknown worker deregister", "DELETE", "/v1/fabric/workers/nope", "", 410, "unknown_worker"},
 		{"unknown worker poll", "POST", "/v1/fabric/poll", `{"worker_id":"nope"}`, 410, "unknown_worker"},

@@ -96,7 +96,7 @@ type bucket struct {
 // leave events pending that would leak into the next run.
 type Engine struct {
 	now   Time
-	seq   uint64
+	seq   uint64 // stamp of the latest insert; orders events within one cycle
 	nRun  uint64
 	ringN int // events currently resident in ring buckets
 	far   farHeap
@@ -112,14 +112,6 @@ type Engine struct {
 	slab []scheduled
 	next []int32
 	free int32 // first free slot, index+1; 0 = none
-
-	// seqp, when non-nil, is a stamp counter shared with other engines:
-	// every insert takes its seq from *seqp instead of the local counter.
-	// The ParallelEngine's lockstep mode points all shards at one counter
-	// so the shard-spanning (time, seq) order is exactly the insertion
-	// order a single serial engine would have produced. e.seq still
-	// increments per insert and doubles as a local change counter.
-	seqp *uint64
 }
 
 // New returns a fresh engine with the clock at zero.
@@ -139,10 +131,6 @@ func (e *Engine) Pending() int { return e.ringN + len(e.far) }
 func (e *Engine) insert(at Time, it scheduled) {
 	e.seq++
 	seq := e.seq
-	if e.seqp != nil {
-		*e.seqp++
-		seq = *e.seqp
-	}
 	if at >= e.now+ringSize {
 		it.at, it.seq = at, seq
 		e.far.push(it)
@@ -273,25 +261,6 @@ func (e *Engine) peek() (Time, bool) {
 		return e.far[0].at, true
 	}
 	return 0, false
-}
-
-// peekHead reports the (time, seq) stamp of the next queued event
-// without running it. The ParallelEngine's lockstep executor compares
-// shard heads by this stamp to pick the globally next event; within a
-// ring bucket FIFO order is seq order (see the Engine invariant), so
-// the head of the first non-empty cycle carries the shard's minimum.
-func (e *Engine) peekHead() (Time, uint64, bool) {
-	if e.ringN > 0 {
-		for t := e.now; ; t++ {
-			if h := e.ring[t&ringMask].head; h != 0 {
-				return t, e.slab[h-1].seq, true
-			}
-		}
-	}
-	if len(e.far) > 0 {
-		return e.far[0].at, e.far[0].seq, true
-	}
-	return 0, 0, false
 }
 
 // Step executes the single next event and reports whether one existed.

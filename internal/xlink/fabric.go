@@ -32,12 +32,6 @@ type Fabric struct {
 	freeRl []int
 	hopEv  sim.ArgEvent
 	stepEv sim.ArgEvent
-
-	// Sharded execution (EnableSharding): every delivery is checked
-	// against the ParallelEngine's lookahead bound via the (sentAt, src)
-	// stamp carried on its route record.
-	pe      *sim.ParallelEngine
-	shardOf func(arch.SocketID) int
 }
 
 // pathHop is one precomputed traversal: a physical link, the direction
@@ -49,17 +43,11 @@ type pathHop struct {
 	post sim.Time
 }
 
-// routeRec is one in-flight routed message. src/dst/sentAt are the
-// cross-shard stamp: where the message entered the fabric and when,
-// validated against the lookahead bound at delivery when sharding is
-// enabled.
+// routeRec is one in-flight routed message.
 type routeRec struct {
 	path   []pathHop
 	pos    int
 	size   int
-	src    arch.SocketID
-	dst    arch.SocketID
-	sentAt sim.Time
 	doneEv sim.Event
 	doneFn func()
 }
@@ -276,8 +264,8 @@ func (f *Fabric) PathLinks(src, dst arch.SocketID) []int {
 	return out
 }
 
-// acquire takes a pooled route record for a size-byte message entering
-// the fabric now at src, bound for dst.
+// acquire takes a pooled route record for a size-byte message from src
+// to dst.
 func (f *Fabric) acquire(src, dst arch.SocketID, size int) int {
 	var idx int
 	if n := len(f.freeRl); n > 0 {
@@ -289,7 +277,6 @@ func (f *Fabric) acquire(src, dst arch.SocketID, size int) int {
 	}
 	r := &f.recs[idx]
 	r.path, r.pos, r.size = f.paths[src][dst], 0, size
-	r.src, r.dst, r.sentAt = src, dst, f.eng.Now()
 	return idx
 }
 
@@ -315,11 +302,6 @@ func (f *Fabric) step(now sim.Time, arg int) {
 		return
 	}
 	doneEv, doneFn := r.doneEv, r.doneFn
-	if f.pe != nil {
-		// Delivered: the stamp proves this crossing respected the
-		// lookahead bound (NoteCross panics otherwise).
-		f.pe.NoteCross(f.shardOf(r.src), f.shardOf(r.dst), r.sentAt)
-	}
 	r.path, r.doneEv, r.doneFn = nil, nil, nil
 	f.freeRl = append(f.freeRl, arg)
 	if doneEv != nil {
@@ -358,60 +340,6 @@ func (f *Fabric) RouteFunc(src, dst arch.SocketID, size int, done func()) {
 	idx := f.acquire(src, dst, size)
 	f.recs[idx].doneFn = done
 	f.step(f.eng.Now(), idx)
-}
-
-// PathCost reports the unloaded latency of the precomputed src→dst
-// route: the sum over its hops of link pipeline latency plus switch
-// charges. Serialization and queueing only add on top (sim.Server never
-// completes a transfer before its fixed latency, and the balancer
-// re-points lanes without touching latencies), so PathCost is a hard
-// lower bound on how fast any message can make the crossing. src == dst
-// reports the loopback switch charge.
-func (f *Fabric) PathCost(src, dst arch.SocketID) sim.Time {
-	if src == dst {
-		return f.switchLat
-	}
-	var c sim.Time
-	for _, h := range f.paths[src][dst] {
-		c += h.link.srv[h.dir].Latency() + h.post
-	}
-	return c
-}
-
-// MinPathCost reports the smallest PathCost over all ordered pairs of
-// distinct sockets: the fastest any socket can causally affect another
-// through the fabric, and therefore the conservative lookahead bound
-// for sharded execution (sim.ParallelEngine). Zero for single-socket
-// topologies, which have no inter-socket path.
-func (f *Fabric) MinPathCost() sim.Time {
-	var best sim.Time
-	found := false
-	for src := range f.ports {
-		for dst := range f.ports {
-			if src == dst {
-				continue
-			}
-			c := f.PathCost(arch.SocketID(src), arch.SocketID(dst))
-			if !found || c < best {
-				best, found = c, true
-			}
-		}
-	}
-	if !found {
-		return 0
-	}
-	return best
-}
-
-// EnableSharding attaches the fabric to a sharded execution: shardOf
-// maps each socket to its engine shard, and from now on every delivered
-// route is checked against pe's lookahead bound using the (sentAt, src)
-// stamp on its record — the runtime proof that no cross-shard
-// interaction in the run beat the bound the windows were derived from.
-// pe.NoteCross panics loudly on a violation. Call before any traffic.
-func (f *Fabric) EnableSharding(pe *sim.ParallelEngine, shardOf func(arch.SocketID) int) {
-	f.pe = pe
-	f.shardOf = shardOf
 }
 
 // ResetDesign restores every link to its design-time lane assignment
