@@ -14,7 +14,9 @@
 //	-iterscale f   scale workload iteration counts (default 1.0)
 //	-divisor n     architecture scale divisor vs the paper machine (default 8)
 //	-quick         shorthand for -iterscale 0.25
-//	-j n           simulations to run in parallel (default GOMAXPROCS)
+//	-j n           simulations to run in parallel (default GOMAXPROCS);
+//	               under -remote the coordinator's own -j bounds a job's
+//	               in-flight runs and this value is not sent
 //	-topology f    load an explicit link-graph topology from a JSON file
 //	               (docs/TOPOLOGY.md) and apply it to every configuration
 //	               whose socket count matches; nil keeps the synthesized
@@ -23,21 +25,26 @@
 //	               canonical encoding, and exit (nonzero on schema errors)
 //	-dump-topology p  print the effective topology of preset p (base,
 //	               traditional, numa-aware or monolithic) as JSON and exit
-//	-remote url    execute the simulations on a numagpud sweep-fabric
-//	               coordinator instead of in-process; tables are still
-//	               rendered locally, byte-identical to a local run.
-//	               Raise -j to the cluster's total worker window to
-//	               keep a multi-worker fabric busy
+//	-remote url    run each experiment as a job on a numagpud
+//	               coordinator (POST /v1/experiments/{name}) at this
+//	               command's -divisor, -iterscale/-quick and -topology,
+//	               instead of in-process; the coordinator's memo, disk
+//	               cache and worker fleet do the simulating, and the
+//	               result is rendered locally, byte-identical to a local
+//	               run. A refused submission fails at once; a
+//	               coordinator unreachable for 30s fails the experiment
 //	-follow        render one line per completed run on stderr as
 //	               results land (workload, how it resolved — simulated,
-//	               cached, remote, coalesced — and cycles). Stdout is
-//	               untouched: final tables stay byte-identical
+//	               cached, remote, coalesced — and cycles); under
+//	               -remote the lines come from the job's event stream.
+//	               Stdout is untouched: final tables stay byte-identical
 //	-obs-dir dir   enable the observability layer: write each run's
 //	               time series (series.csv + series.json) into
 //	               dir/<workload>-<key hash>/. Sampling is read-only
 //	               and results stay byte-identical; observed runs
-//	               always simulate locally (cache reads and -remote
-//	               are bypassed for them). See docs/OBSERVABILITY.md
+//	               always simulate locally (cache reads are bypassed
+//	               for them), so -obs-dir and -remote exclude each
+//	               other. See docs/OBSERVABILITY.md
 //	-trace         with -obs-dir: also write a Chrome/Perfetto
 //	               trace.json per run (kernel waves, cross-socket
 //	               transfers, drain phases)
@@ -48,7 +55,8 @@
 //	               comparison against the committed fixtures
 //	-cpuprofile f  write a CPU profile of the run to f
 //	-memprofile f  write a heap profile (after GC) to f on exit
-//	-v             per-run progress on stderr
+//	-v             per-run progress on stderr (local simulations only;
+//	               use -follow under -remote)
 //
 // See docs/EXPERIMENTS.md for what each experiment reproduces and the
 // meaning of its summary keys. The long-running numagpud daemon
@@ -94,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	divisor := fs.Int("divisor", 8, "architecture scale divisor")
 	quick := fs.Bool("quick", false, "quick mode (iterscale 0.25)")
 	parallel := fs.Int("j", runtime.GOMAXPROCS(0), "simulations to run in parallel")
-	remote := fs.String("remote", "", "numagpud coordinator URL: execute simulations on the sweep fabric")
+	remote := fs.String("remote", "", "numagpud coordinator URL: run each experiment there as a job")
 	follow := fs.Bool("follow", false, "render per-run completions on stderr as results land")
 	topoPath := fs.String("topology", "", "topology JSON file replacing the synthesized crossbar (docs/TOPOLOGY.md)")
 	validate := fs.Bool("validate", false, "with -topology: validate the file, print its canonical encoding, and exit")
@@ -153,6 +161,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "-trace requires -obs-dir\n")
 		return 2
 	}
+	if *remote != "" && *obsDir != "" {
+		fmt.Fprintf(stderr, "-obs-dir cannot be combined with -remote: observed runs simulate in this process\n")
+		return 2
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -189,14 +201,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *verbose {
 		opts.Progress = stderr
 	}
-	if *remote != "" {
-		opts.Backend = service.NewFabricClient(*remote)
-	}
 	if *follow {
 		// Per-run completions stream to stderr; stdout (tables, JSON,
 		// golden output) stays byte-identical with or without the flag.
 		opts.OnResult = func(key string, res core.Result, src exp.RunSource) {
-			fmt.Fprintf(stderr, "done %-28s %-10s %12d cycles\n", res.Name, src, res.Cycles)
+			fmt.Fprintf(stderr, followLine, res.Name, src, res.Cycles)
 		}
 	}
 	var obsMu sync.Mutex
@@ -219,6 +228,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	runner := exp.NewRunner(opts)
+	execute := func(e exp.Experiment) (exp.Result, error) { return runExperiment(e, runner) }
+	if *remote != "" {
+		var followW io.Writer
+		if *follow {
+			followW = stderr
+		}
+		rem := newRemote(*remote, service.ExperimentRequest{Divisor: opts.Divisor, IterScale: opts.IterScale, Topology: topology}, followW)
+		execute = func(e exp.Experiment) (exp.Result, error) { return rem.run(e.Name) }
+	}
 
 	names := fs.Args()
 	if len(names) == 1 && names[0] == "all" {
@@ -235,7 +253,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		start := time.Now()
-		res, err := runExperiment(e, runner)
+		res, err := execute(e)
 		if err != nil {
 			fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
 			return 1
@@ -352,8 +370,8 @@ func dumpTopology(preset string, divisor int, topology *topo.Topology, stdout, s
 }
 
 // runExperiment converts a panicking run — an invalid configuration
-// reaching core.MustSystem, or a failed remote backend — into an error
-// and a clean nonzero exit instead of a crash with a stack trace.
+// reaching core.MustSystem — into an error and a clean nonzero exit
+// instead of a crash with a stack trace.
 func runExperiment(e exp.Experiment, runner *exp.Runner) (res exp.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {

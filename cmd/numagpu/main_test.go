@@ -3,12 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/exp"
+	"repro/internal/service"
 )
 
 func TestExperimentRegistry(t *testing.T) {
@@ -221,13 +227,141 @@ func TestRunGoldenJSONExclusive(t *testing.T) {
 func TestRunRemoteUnreachable(t *testing.T) {
 	// A dead coordinator must fail the experiment with a clean exit
 	// code and diagnostic, not silently simulate locally (the user
-	// asked for remote execution) and not crash with a stack trace.
+	// asked for remote execution), not crash with a stack trace, and
+	// not sit in a retry loop first.
+	start := time.Now()
 	code, _, stderr := runCLI(t, "-remote", "http://127.0.0.1:1", "-iterscale", "0.01", "fig3")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr)
 	}
-	if !strings.Contains(stderr, "fig3:") || !strings.Contains(stderr, "fabric submit") {
+	if !strings.Contains(stderr, "fig3:") || !strings.Contains(stderr, "coordinator http://127.0.0.1:1 unreachable") {
 		t.Fatalf("stderr missing remote failure diagnostic:\n%s", stderr)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("dead coordinator took %s to report, want < 5s", d)
+	}
+}
+
+// fakeCoordinator accepts every experiment submission as job-1 and
+// hands each other request to other.
+func fakeCoordinator(t *testing.T, other http.HandlerFunc) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/experiments/{name}", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(service.JobStatus{ID: "job-1", Kind: "experiment", Name: r.PathValue("name"), State: service.JobQueued})
+	})
+	mux.HandleFunc("/", other)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRunRemoteCoordinatorGone: a coordinator that accepts the job and
+// then stops answering fails the experiment once it has been
+// unreachable for the window, instead of hanging on the event stream.
+func TestRunRemoteCoordinatorGone(t *testing.T) {
+	defer func(w time.Duration) { unreachableWindow = w }(unreachableWindow)
+	unreachableWindow = 300 * time.Millisecond
+	ts := fakeCoordinator(t, func(w http.ResponseWriter, r *http.Request) {
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err == nil {
+			conn.Close() // the coordinator is gone: drop the connection unanswered
+		}
+	})
+	start := time.Now()
+	code, _, stderr := runCLI(t, "-remote", ts.URL, "fig3")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr)
+	}
+	if !strings.Contains(stderr, "fig3:") || !strings.Contains(stderr, "unreachable for") {
+		t.Fatalf("stderr missing unreachable diagnostic:\n%s", stderr)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("gone coordinator took %s to report with a %s window", d, unreachableWindow)
+	}
+}
+
+// TestRunRemoteShedReportsRetryAfter: a shed submission is reported
+// with the server's retry hint and exits 1 without retrying.
+func TestRunRemoteShedReportsRetryAfter(t *testing.T) {
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		w.Header().Set("Retry-After", "2")
+		w.WriteHeader(http.StatusTooManyRequests)
+		fmt.Fprint(w, `{"error":{"code":"queue_full","message":"job queue full","retry_after_ms":2000}}`)
+	}))
+	defer ts.Close()
+	code, _, stderr := runCLI(t, "-remote", ts.URL, "table1")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr)
+	}
+	if !strings.Contains(stderr, "table1:") || !strings.Contains(stderr, "retry after 2s") {
+		t.Fatalf("stderr missing shed diagnostic with retry hint:\n%s", stderr)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Fatalf("%d submissions, want exactly 1 (no retry loop)", n)
+	}
+}
+
+// TestRunRemoteByteIdentical drives -remote against an in-process
+// daemon configured at a different scale: the job runs at the client's
+// -divisor, -iterscale and -topology, so the output is byte-identical
+// to the local run, and -follow renders one line per run from the
+// job's event stream.
+func TestRunRemoteByteIdentical(t *testing.T) {
+	srv, err := service.New(service.Config{Options: exp.QuickOptions(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	args := []string{"-iterscale", "0.01", "-divisor", "16", "-golden", "table1", "tenancy"}
+	topoArgs := append([]string{"-topology", filepath.Join("..", "..", "examples", "asym-pairs.json")}, args...)
+	code, crossbar, _ := runCLI(t, args...)
+	if code != 0 {
+		t.Fatalf("local crossbar run exit %d", code)
+	}
+	code, local, _ := runCLI(t, topoArgs...)
+	if code != 0 {
+		t.Fatalf("local run exit %d", code)
+	}
+	if local == crossbar {
+		t.Fatal("-topology left tenancy unchanged; the comparison below would not show it reached the daemon")
+	}
+	code, remote, stderr := runCLI(t, append([]string{"-remote", ts.URL, "-follow"}, topoArgs...)...)
+	if code != 0 {
+		t.Fatalf("remote run exit %d (stderr: %s)", code, stderr)
+	}
+	if remote != local {
+		t.Fatalf("-remote output differs from the local run:\n--- local ---\n%s\n--- remote ---\n%s", local, remote)
+	}
+	done := 0
+	for _, line := range strings.Split(stderr, "\n") {
+		if strings.HasPrefix(line, "done ") {
+			done++
+		}
+	}
+	if done != 8 {
+		t.Fatalf("-follow printed %d done lines, want 8 (tenancy's runs):\n%s", done, stderr)
+	}
+	if n := srv.RunnerStats().Simulations; n != 8 {
+		t.Fatalf("daemon ran %d simulations, want tenancy's 8", n)
+	}
+}
+
+func TestRunRemoteObsDirExclusive(t *testing.T) {
+	code, _, stderr := runCLI(t, "-remote", "http://127.0.0.1:1", "-obs-dir", t.TempDir(), "fig3")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr, "-obs-dir cannot be combined with -remote") {
+		t.Fatalf("stderr missing diagnostic:\n%s", stderr)
 	}
 }
 

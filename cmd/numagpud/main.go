@@ -31,7 +31,9 @@
 //	-divisor n          architecture scale divisor vs the paper machine (default 8)
 //	-maxctas n          cap grid sizes (0 = uncapped)
 //	-quick              shorthand for -iterscale 0.25
-//	-j n                simulations to run in parallel per sweep (default GOMAXPROCS)
+//	-j n                simulations to run in parallel per job (default
+//	                    GOMAXPROCS); this also bounds the in-flight runs
+//	                    of a numagpu -remote experiment
 //	-workers n          concurrent jobs (default 2)
 //	-lease-ttl d        declare a fabric worker dead after this long
 //	                    without a poll (default 15s)
@@ -49,11 +51,17 @@
 //
 // A quick session:
 //
-//	numagpud -cache /var/cache/numagpud &
+//	numagpud -cache /var/cache/numagpud -j 8 &
 //	numagpud -addr 127.0.0.1:8378 -worker -coordinator-url http://127.0.0.1:8377 &
 //	numagpud -addr 127.0.0.1:8379 -worker -coordinator-url http://127.0.0.1:8377 &
-//	numagpu -quick -remote http://127.0.0.1:8377 -j 8 fig3
+//	numagpu -quick -remote http://127.0.0.1:8377 -follow fig3
 //	curl localhost:8377/v1/fabric
+//
+// numagpu -remote submits each experiment to POST /v1/experiments/{name}
+// with its own harness scale (divisor, iteration scale, topology) as
+// the body; the daemon runs it at that scale, not at its own -divisor,
+// -iterscale and -maxctas, so the client's output is byte-identical to
+// a local run.
 //
 // Sweeps submitted to POST /v1/sweeps may set an "obs" field (see
 // arch.ObsSpec and docs/OBSERVABILITY.md) to sample per-socket and

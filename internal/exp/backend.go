@@ -29,9 +29,10 @@ import (
 //     into a failure report.
 //
 // Implementations must be safe for concurrent use; RunAll issues up to
-// Options.Parallelism Execute calls at a time. The HTTP implementation
-// lives in internal/service (FabricClient and the coordinator's
-// in-process dispatcher).
+// Options.Parallelism Execute calls at a time. The implementation in
+// this repository is the numagpud coordinator's sweep-fabric dispatcher
+// (internal/service), which leases each run to a worker process over
+// HTTP.
 type Backend interface {
 	Execute(key string, cfg arch.Config, spec workload.Spec, opts workload.Options) (core.Result, error)
 }
@@ -50,17 +51,3 @@ var ErrBackendUnavailable = errors.New("exp: backend unavailable")
 // memoized: a later Run of the same key starts fresh instead of
 // replaying the stale cancellation.
 var ErrDeadlineExceeded = errors.New("exp: deadline exceeded")
-
-// NewRemoteRunner builds a Runner whose simulations execute through b,
-// typically a service.FabricClient pointed at a numagpud coordinator.
-// Everything else about the Runner is unchanged — the in-memory
-// singleflight memo, Options.Cache layering, RunAll's worker pool and
-// request-order guarantee — so a remote harness produces byte-identical
-// tables, summaries, and CSV to the local one, with the simulations
-// farmed out over HTTP. Options.Parallelism bounds in-flight remote
-// runs; point it at the cluster's total window (not the local CPU
-// count) to keep a multi-worker fabric busy.
-func NewRemoteRunner(opts Options, b Backend) *Runner {
-	opts.Backend = b
-	return NewRunner(opts)
-}

@@ -51,7 +51,9 @@ func (b *fakeBackend) callCount() int {
 // RemoteRuns.
 func TestBackendExecutesMemoMisses(t *testing.T) {
 	b := &fakeBackend{mode: "sim"}
-	r := NewRemoteRunner(tinyOptions(), b)
+	o := tinyOptions()
+	o.Backend = b
+	r := NewRunner(o)
 	spec := r.opts.Workloads[0]
 	res := r.Run(r.Base(2), spec)
 	if res.Cycles == 0 || res.Name != spec.Name {
@@ -73,7 +75,9 @@ func TestBackendExecutesMemoMisses(t *testing.T) {
 func TestBackendUnavailableFallsBackLocally(t *testing.T) {
 	local := NewRunner(tinyOptions())
 	b := &fakeBackend{mode: "unavailable"}
-	r := NewRemoteRunner(tinyOptions(), b)
+	o := tinyOptions()
+	o.Backend = b
+	r := NewRunner(o)
 	spec := r.opts.Workloads[0]
 	want := local.Run(local.Base(2), spec)
 	got := r.Run(r.Base(2), spec)
@@ -93,7 +97,9 @@ func TestBackendUnavailableFallsBackLocally(t *testing.T) {
 // memoized, and re-raised for later callers without retrying.
 func TestBackendHardErrorPanicsOnce(t *testing.T) {
 	b := &fakeBackend{mode: "fail"}
-	r := NewRemoteRunner(tinyOptions(), b)
+	o := tinyOptions()
+	o.Backend = b
+	r := NewRunner(o)
 	spec := r.opts.Workloads[0]
 	mustPanic := func(step string) {
 		t.Helper()
@@ -117,7 +123,9 @@ func TestBackendHardErrorPanicsOnce(t *testing.T) {
 // deadline storm retries the backend and succeeds.
 func TestBackendDeadlineErrorNotMemoized(t *testing.T) {
 	b := &fakeBackend{mode: "deadline"}
-	r := NewRemoteRunner(tinyOptions(), b)
+	o := tinyOptions()
+	o.Backend = b
+	r := NewRunner(o)
 	spec := r.opts.Workloads[0]
 	func() {
 		defer func() {
@@ -173,7 +181,8 @@ func TestBackendWritesThroughCache(t *testing.T) {
 	opts := tinyOptions()
 	opts.Cache = cache
 	b := &fakeBackend{mode: "sim"}
-	r := NewRemoteRunner(opts, b)
+	opts.Backend = b
+	r := NewRunner(opts)
 	spec := r.opts.Workloads[0]
 	want := r.Run(r.Base(2), spec)
 	if len(cache.m) != 1 {
@@ -183,7 +192,8 @@ func TestBackendWritesThroughCache(t *testing.T) {
 	// A fresh runner over the same cache serves the key without
 	// touching its backend.
 	b2 := &fakeBackend{mode: "fail"} // would panic if consulted
-	r2 := NewRemoteRunner(opts, b2)
+	opts.Backend = b2
+	r2 := NewRunner(opts)
 	got := r2.Run(r2.Base(2), spec)
 	if got.Cycles != want.Cycles {
 		t.Fatalf("cache replay differs: %d vs %d cycles", got.Cycles, want.Cycles)
@@ -213,7 +223,8 @@ func TestRemoteRunnerExperimentByteIdentical(t *testing.T) {
 	b := &fakeBackend{mode: "sim"}
 	opts := tinyOptions()
 	opts.Parallelism = 8
-	remote := NewRemoteRunner(opts, b)
+	opts.Backend = b
+	remote := NewRunner(opts)
 
 	want := e.Run(local)
 	got := e.Run(remote)

@@ -78,7 +78,7 @@ func (r *Runner) Stats() Stats {
 		Simulations:   r.sims.Load(),
 		CacheHits:     r.cacheHits.Load(),
 		CacheMisses:   r.cacheMisses.Load(),
-		RemoteRuns:    r.remoteRuns.Load(),
+		RemoteRuns:    r.backendRuns.Load(),
 		DeltaHits:     r.deltaHits.Load(),
 		CoalescedKeys: r.coalescedKeys.Load(),
 	}
@@ -142,7 +142,7 @@ type counters struct {
 	sims          atomic.Uint64
 	cacheHits     atomic.Uint64
 	cacheMisses   atomic.Uint64
-	remoteRuns    atomic.Uint64
+	backendRuns   atomic.Uint64
 	deltaHits     atomic.Uint64
 	coalescedKeys atomic.Uint64
 }

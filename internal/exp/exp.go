@@ -292,7 +292,7 @@ func (r *Runner) runKeyed(key string, cfg arch.Config, spec workload.Spec) (core
 			case err == nil:
 				res.Name = spec.Name
 				e.res = res
-				r.remoteRuns.Add(1)
+				r.backendRuns.Add(1)
 				if c := r.opts.Cache; c != nil {
 					c.Put(key, res)
 				}

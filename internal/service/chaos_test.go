@@ -17,10 +17,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/arch"
-	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/workload"
 )
 
 // TestFaultTransportDeterministicSchedule pins the repro contract: two
@@ -97,126 +94,6 @@ func TestFaultTransportSemantics(t *testing.T) {
 	ft.partition(false)
 	if err := post(ft); err != nil {
 		t.Fatalf("healed partition: %v", err)
-	}
-}
-
-// chaosExecuteArgs builds a valid Execute argument set for client tests.
-func chaosExecuteArgs() (workload.Spec, workload.Options) {
-	spec, _ := workload.ByName("Other-Stream-Triad")
-	return spec, workload.Options{}
-}
-
-// TestFabricClientRetries429HonoringRetryAfter: shed submissions (429)
-// are retryable — the client backs off at least the server's
-// Retry-After and then succeeds.
-func TestFabricClientRetries429HonoringRetryAfter(t *testing.T) {
-	var posts atomic.Int64
-	res := core.Result{Name: "n", Cycles: 9}
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if posts.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			writeAPIError(w, http.StatusTooManyRequests, "queue_full", "shed")
-			return
-		}
-		writeJSON(w, http.StatusAccepted, RemoteRunStatus{ID: "x", State: JobDone, Result: &res})
-	}))
-	defer ts.Close()
-
-	fc := NewFabricClient(ts.URL)
-	fc.Poll = time.Millisecond
-	fc.Backoff = time.Millisecond
-	fc.MaxBackoff = 5 * time.Millisecond
-	spec, opts := chaosExecuteArgs()
-	start := time.Now()
-	got, err := fc.Execute("k", arch.Config{}, spec, opts)
-	if err != nil || got.Cycles != 9 {
-		t.Fatalf("Execute = %+v, %v; want success after one 429", got, err)
-	}
-	if posts.Load() != 2 {
-		t.Fatalf("posts = %d, want 2 (one shed, one success)", posts.Load())
-	}
-	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
-		t.Fatalf("retried after %s, want >= the 1s Retry-After", elapsed)
-	}
-}
-
-// TestFabricClientHalfOpenLatch: exhausting the retry budget latches
-// the client down (later runs fail fast without touching the wire);
-// after MaxBackoff exactly one probe goes out, and its success reopens
-// the client for everyone.
-func TestFabricClientHalfOpenLatch(t *testing.T) {
-	res := core.Result{Name: "n", Cycles: 3}
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, RemoteRunStatus{ID: "x", State: JobDone, Result: &res})
-	}))
-	defer ts.Close()
-
-	ft := newFaultTransport(nil, 7)
-	ft.partition(true)
-	fc := NewFabricClient(ts.URL)
-	fc.HTTPClient = &http.Client{Transport: ft}
-	fc.Poll = time.Millisecond
-	fc.Retries = 2
-	fc.Backoff = time.Millisecond
-	fc.MaxBackoff = 60 * time.Millisecond
-	spec, opts := chaosExecuteArgs()
-
-	if _, err := fc.Execute("k", arch.Config{}, spec, opts); err == nil {
-		t.Fatal("Execute through a partition succeeded")
-	}
-	_, _, _, _, attempts := ft.counts()
-	if attempts != 2 {
-		t.Fatalf("budget-exhausting run made %d attempts, want Retries=2", attempts)
-	}
-
-	// Latched: the next run fails fast without a wire attempt.
-	if _, err := fc.Execute("k2", arch.Config{}, spec, opts); !errors.Is(err, errCoordinatorDown) {
-		t.Fatalf("latched Execute err = %v, want fail-fast marked-down", err)
-	}
-	if _, _, _, _, after := ft.counts(); after != attempts {
-		t.Fatalf("latched run touched the wire: %d -> %d attempts", attempts, after)
-	}
-
-	// Heal the partition, wait past MaxBackoff: the next run is the
-	// half-open probe, succeeds, and the latch opens for later runs too.
-	ft.partition(false)
-	time.Sleep(80 * time.Millisecond)
-	if got, err := fc.Execute("k3", arch.Config{}, spec, opts); err != nil || got.Cycles != 3 {
-		t.Fatalf("probe Execute = %+v, %v; want recovery", got, err)
-	}
-	if got, err := fc.Execute("k4", arch.Config{}, spec, opts); err != nil || got.Cycles != 3 {
-		t.Fatalf("post-recovery Execute = %+v, %v", got, err)
-	}
-}
-
-// TestFabricClientFailedProbeRearmsLatch: a probe against a still-dead
-// coordinator re-arms the latch instead of letting every queued run
-// burn its own retry budget.
-func TestFabricClientFailedProbeRearmsLatch(t *testing.T) {
-	ft := newFaultTransport(nil, 7)
-	ft.partition(true)
-	fc := NewFabricClient("http://127.0.0.1:0")
-	fc.HTTPClient = &http.Client{Transport: ft}
-	fc.Poll = time.Millisecond
-	fc.Retries = 2
-	fc.Backoff = time.Millisecond
-	fc.MaxBackoff = 40 * time.Millisecond
-	spec, opts := chaosExecuteArgs()
-
-	if _, err := fc.Execute("k", arch.Config{}, spec, opts); err == nil {
-		t.Fatal("Execute through a partition succeeded")
-	}
-	time.Sleep(60 * time.Millisecond) // latch half-opens
-	if _, err := fc.Execute("k2", arch.Config{}, spec, opts); err == nil {
-		t.Fatal("probe against dead coordinator succeeded")
-	}
-	// Immediately after the failed probe the latch is re-armed.
-	_, _, _, _, before := ft.counts()
-	if _, err := fc.Execute("k3", arch.Config{}, spec, opts); !errors.Is(err, errCoordinatorDown) {
-		t.Fatalf("post-probe Execute err = %v, want fail-fast", err)
-	}
-	if _, _, _, _, after := ft.counts(); after != before {
-		t.Fatal("re-armed latch still let a request through")
 	}
 }
 

@@ -141,10 +141,20 @@ func (c *Client) Experiments() ([]ExperimentInfo, error) {
 }
 
 // SubmitExperiment enqueues one experiment by registry name and
-// returns the queued job.
-func (c *Client) SubmitExperiment(name string) (JobStatus, error) {
+// returns the queued job. An optional scale names the harness to run it
+// at (see ExperimentRequest); without one the daemon's own options
+// apply.
+func (c *Client) SubmitExperiment(name string, scale ...ExperimentRequest) (JobStatus, error) {
+	var in any
+	switch len(scale) {
+	case 0:
+	case 1:
+		in = scale[0]
+	default:
+		return JobStatus{}, errors.New("service: SubmitExperiment takes at most one scale")
+	}
 	var out JobStatus
-	err := c.do("POST", "/v1/experiments/"+name, nil, &out)
+	err := c.do("POST", "/v1/experiments/"+name, in, &out)
 	return out, err
 }
 

@@ -29,15 +29,12 @@ const (
 	// codeInvalidArgument: the request body, path, or headers failed
 	// validation (HTTP 400).
 	codeInvalidArgument = "invalid_argument"
-	// codeNotFound: no such experiment, job, or run (HTTP 404).
+	// codeNotFound: no such experiment or job (HTTP 404).
 	codeNotFound = "not_found"
 	// codeNotReady: the resource exists but is not in a state the
 	// request can use — a /result poll on a job still queued or
 	// running (HTTP 409).
 	codeNotReady = "not_ready"
-	// codeVersionSkew: client and coordinator derive different content
-	// addresses for the same run — mixed simulator versions (HTTP 409).
-	codeVersionSkew = "version_skew"
 	// codeUnknownWorker: the fabric worker's registration is gone;
 	// re-register (HTTP 410).
 	codeUnknownWorker = "unknown_worker"

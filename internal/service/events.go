@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -46,9 +48,9 @@ type JobEvent struct {
 }
 
 // RunDone is the payload of a run_done event: one completed run,
-// identified by the same content address the fabric run endpoints use
-// (the hex SHA-256 of the RunKey), so a streamed completion can be
-// correlated with cache entries and remote runs. Source says how the
+// identified by runID, the content address of its RunKey, so a streamed
+// completion can be correlated with cache entries and with the same run
+// in other jobs. Source says how the
 // result was obtained (simulated, cached, remote, coalesced) — an SSE
 // replay after reconnect re-sends the same reference, never a
 // re-simulation.
@@ -59,6 +61,13 @@ type RunDone struct {
 	Cycles   uint64        `json:"cycles"`
 	Done     int           `json:"done"`
 	Total    int           `json:"total,omitempty"`
+}
+
+// runID is the URL-safe content address of a RunKey (RunKeys themselves
+// contain '/' and '|'): the hex SHA-256 of the key.
+func runID(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return hex.EncodeToString(sum[:])
 }
 
 // appendEventLocked stamps the next dense ID on ev, appends it to the

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/workload"
 )
 
 // waitJobState polls until the job reaches want or the deadline hits.
@@ -360,19 +359,6 @@ func TestEndpointErrorEnvelope(t *testing.T) {
 	srv.jobs["job-bad"] = &job{id: "job-bad", state: JobFailed, err: "boom"}
 	srv.mu.Unlock()
 
-	// A fabric run that is valid in every respect except that its config
-	// still carries the removed engine shard-count knob: it must be refused,
-	// not silently simulated on the serial engine.
-	spec, _ := workload.ByName("Other-Stream-Triad")
-	cfg := srv.runner.Base(2)
-	run, _ := json.Marshal(WireRun{Key: srv.runners.runner(0.1, 64).RunKey(cfg, spec), Cfg: cfg, Workload: spec.Name, IterScale: 0.1, MaxCTAs: 64})
-	var wire map[string]any
-	if err := json.Unmarshal(run, &wire); err != nil {
-		t.Fatal(err)
-	}
-	wire["cfg"].(map[string]any)["EngineShards"] = 4
-	shardedRun, _ := json.Marshal(wire)
-
 	cases := []struct {
 		name   string
 		method string
@@ -392,9 +378,11 @@ func TestEndpointErrorEnvelope(t *testing.T) {
 		{"unknown preset", "POST", "/v1/sweeps", `{"preset":"warp-drive"}`, 400, "invalid_argument"},
 		{"unfinished result", "GET", "/v1/jobs/job-queued/result", "", 409, "not_ready"},
 		{"failed result", "GET", "/v1/jobs/job-bad/result", "", 500, "job_failed"},
-		{"malformed fabric run", "POST", "/v1/fabric/runs", "{nope", 400, "invalid_argument"},
-		{"removed shard-count knob", "POST", "/v1/fabric/runs", string(shardedRun), 400, "invalid_argument"},
-		{"unknown fabric run", "GET", "/v1/fabric/runs/nope", "", 404, "not_found"},
+		{"malformed experiment body", "POST", "/v1/experiments/table1", "{nope", 400, "invalid_argument"},
+		{"removed shard-count knob", "POST", "/v1/experiments/table1", `{"engine_shards":4}`, 400, "invalid_argument"},
+		{"invalid experiment topology", "POST", "/v1/experiments/table1", `{"topology":{"sockets":[],"links":[]}}`, 400, "invalid_argument"},
+		// The per-run protocol is gone: no route, so the mux's plain 404.
+		{"removed per-run endpoint", "POST", "/v1/fabric/runs", "{}", 404, ""},
 		{"unknown worker deregister", "DELETE", "/v1/fabric/workers/nope", "", 410, "unknown_worker"},
 		{"unknown worker poll", "POST", "/v1/fabric/poll", `{"worker_id":"nope"}`, 410, "unknown_worker"},
 	}
@@ -418,6 +406,9 @@ func TestEndpointErrorEnvelope(t *testing.T) {
 			defer resp.Body.Close()
 			if resp.StatusCode != tc.status {
 				t.Fatalf("HTTP %d, want %d", resp.StatusCode, tc.status)
+			}
+			if tc.code == "" {
+				return
 			}
 			var env struct {
 				Error APIError `json:"error"`
@@ -464,35 +455,5 @@ func TestEndpointErrorEnvelope(t *testing.T) {
 	env.Error = APIError{}
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != "draining" {
 		t.Fatalf("post-Close envelope = %+v (err %v), want draining", env.Error, err)
-	}
-}
-
-// TestVersionSkewEnvelope exercises the fabric submit key-mismatch path
-// through the full stack (it needs a valid config to reach the check).
-func TestVersionSkewEnvelope(t *testing.T) {
-	srv, err := New(Config{Options: tinyServiceOpts(), Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	cfg := srv.runner.Base(2)
-	body, _ := json.Marshal(WireRun{Key: "v0|stale-key", Cfg: cfg, Workload: "Other-Stream-Triad", IterScale: 0.1, MaxCTAs: 64})
-	resp, err := http.Post(ts.URL+"/v1/fabric/runs", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("HTTP %d, want 409: %s", resp.StatusCode, b)
-	}
-	var env struct {
-		Error APIError `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != "version_skew" {
-		t.Fatalf("envelope = %+v (err %v), want version_skew", env.Error, err)
 	}
 }

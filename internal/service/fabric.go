@@ -1,8 +1,6 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,8 +25,8 @@ import (
 //   - dedupe: every run entering the fabric first passes through the
 //     coordinator's Runner (memo + DiskCache), so only genuinely new
 //     RunKeys reach the shard table, and the table itself is keyed by
-//     RunKey — two jobs, or a job and a remote numagpu client, asking
-//     for the same simulation share one shard and one worker execution;
+//     RunKey — two jobs asking for the same simulation share one shard
+//     and one worker execution;
 //   - leases: a shard is leased to exactly one worker at a time, and a
 //     worker's polls are its heartbeat. A worker that stops polling for
 //     LeaseTTL is declared dead and its leased shards are re-queued at
@@ -732,11 +730,12 @@ func (b fabricBackend) Execute(key string, cfg arch.Config, spec workload.Spec, 
 
 // WireRun is the canonical wire form of one simulation: its RunKey
 // (content address), the full architectural configuration, the Table 2
-// workload name, and the workload scaling options. A worker — or the
-// coordinator handling POST /v1/fabric/runs — can re-derive the RunKey
-// from the other fields, which is how version skew between binaries
-// (differing cache schemas, new Config fields) is detected instead of
-// silently producing mismatched results.
+// workload name, and the workload scaling options. A worker re-derives
+// the RunKey from the other fields before simulating, which is how
+// version skew between coordinator and worker binaries (differing cache
+// schemas, new Config fields) is detected instead of silently producing
+// mismatched results: the shard comes back as an error and the
+// coordinator fails that run.
 type WireRun struct {
 	Key       string      `json:"key"`
 	Cfg       arch.Config `json:"cfg"`
@@ -837,22 +836,6 @@ type FabricStatus struct {
 	JournalBytes      int64                `json:"journal_bytes"`
 }
 
-// RemoteRunStatus is the wire form of one remotely submitted run
-// (POST /v1/fabric/runs → GET /v1/fabric/runs/{id}).
-type RemoteRunStatus struct {
-	ID     string       `json:"id"`
-	State  JobState     `json:"state"`
-	Result *core.Result `json:"result,omitempty"`
-	Error  string       `json:"error,omitempty"`
-}
-
-// runID is the URL-safe content address of a RunKey (RunKeys themselves
-// contain '/' and '|'), shared by the submit and poll endpoints.
-func runID(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
-}
-
 // --- coordinator HTTP handlers ---
 
 func (s *Server) handleFabricRegister(w http.ResponseWriter, r *http.Request) {
@@ -914,154 +897,4 @@ func (s *Server) handleFabricStatus(w http.ResponseWriter, r *http.Request) {
 		st.Workers = []FabricWorkerStatus{}
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-// handleFabricSubmitRun accepts one run from a remote client (numagpu
-// -remote via FabricClient), verifies its RunKey against a locally
-// derived one, and executes it through the coordinator's runner set —
-// so remote submissions share the memo, the disk cache, and the worker
-// fleet with every other source of work.
-func (s *Server) handleFabricSubmitRun(w http.ResponseWriter, r *http.Request) {
-	var run WireRun
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&run); err != nil {
-		writeAPIError(w, http.StatusBadRequest, codeInvalidArgument, "bad run request: %v", err)
-		return
-	}
-	spec, ok := workload.ByName(run.Workload)
-	if !ok {
-		writeAPIError(w, http.StatusBadRequest, codeInvalidArgument, "unknown workload %q", run.Workload)
-		return
-	}
-	if err := run.Cfg.Validate(); err != nil {
-		writeAPIError(w, http.StatusBadRequest, codeInvalidArgument, "invalid config: %v", err)
-		return
-	}
-	runner := s.runners.runner(run.IterScale, run.MaxCTAs)
-	if want := runner.RunKey(run.Cfg, spec); want != run.Key {
-		// Client and coordinator disagree on the content address:
-		// mixed simulator versions. Refusing keeps the cache coherent.
-		writeAPIError(w, http.StatusConflict, codeVersionSkew, "run key mismatch (client %q, coordinator %q): simulator version skew?", run.Key, want)
-		return
-	}
-	st, err := s.startRemoteRun(runner, run.Cfg, spec, run.Key)
-	if err != nil {
-		writeAPIError(w, http.StatusServiceUnavailable, codeDraining, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-func (s *Server) handleFabricRunStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.remoteMu.Lock()
-	rr, ok := s.remoteRuns[id]
-	var st RemoteRunStatus
-	if ok {
-		st = rr.status()
-	}
-	s.remoteMu.Unlock()
-	if !ok {
-		writeAPIError(w, http.StatusNotFound, codeNotFound, "unknown run %q", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// remoteRun tracks one POST /v1/fabric/runs submission. Mutable fields
-// are guarded by Server.remoteMu.
-type remoteRun struct {
-	id    string
-	state JobState
-	res   core.Result
-	err   string
-}
-
-func (rr *remoteRun) status() RemoteRunStatus {
-	st := RemoteRunStatus{ID: rr.id, State: rr.state, Error: rr.err}
-	if rr.state == JobDone {
-		res := rr.res
-		st.Result = &res
-	}
-	return st
-}
-
-// remoteRunRetention bounds the finished remote-run table, mirroring
-// JobRetention for the job queue.
-const remoteRunRetention = 4096
-
-// startRemoteRun begins (or joins) the execution of one remotely
-// submitted run, identified by the content address of its RunKey.
-func (s *Server) startRemoteRun(runner *exp.Runner, cfg arch.Config, spec workload.Spec, key string) (RemoteRunStatus, error) {
-	id := runID(key)
-	s.mu.Lock()
-	closing := s.closing
-	if !closing {
-		s.wg.Add(1) // Close waits for in-flight remote runs too
-	}
-	s.mu.Unlock()
-	if closing {
-		return RemoteRunStatus{}, errors.New("service: shutting down")
-	}
-
-	s.remoteMu.Lock()
-	if rr, ok := s.remoteRuns[id]; ok {
-		st := rr.status()
-		s.remoteMu.Unlock()
-		s.wg.Done() // joined an existing run
-		return st, nil
-	}
-	rr := &remoteRun{id: id, state: JobRunning}
-	s.remoteRuns[id] = rr
-	s.remoteOrder = append(s.remoteOrder, id)
-	s.remoteActive++
-	s.evictRemoteLocked()
-	st := rr.status() // snapshot before the goroutine can mutate rr
-	s.remoteMu.Unlock()
-
-	go func() {
-		defer s.wg.Done()
-		defer func() {
-			s.remoteMu.Lock()
-			s.remoteActive--
-			s.remoteMu.Unlock()
-		}()
-		res, err := func() (res core.Result, err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					err = fmt.Errorf("%v", p)
-				}
-			}()
-			return runner.Run(cfg, spec), nil
-		}()
-		s.remoteMu.Lock()
-		if err != nil {
-			rr.state, rr.err = JobFailed, err.Error()
-		} else {
-			rr.state, rr.res = JobDone, res
-		}
-		s.remoteMu.Unlock()
-	}()
-	return st, nil
-}
-
-// evictRemoteLocked drops the oldest finished remote runs beyond the
-// retention bound. Caller holds s.remoteMu.
-func (s *Server) evictRemoteLocked() {
-	if len(s.remoteOrder) <= remoteRunRetention {
-		return
-	}
-	kept := s.remoteOrder[:0]
-	excess := len(s.remoteOrder) - remoteRunRetention
-	for _, id := range s.remoteOrder {
-		rr := s.remoteRuns[id]
-		if excess > 0 && rr.state != JobRunning {
-			delete(s.remoteRuns, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.remoteOrder = kept
 }

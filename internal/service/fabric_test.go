@@ -641,106 +641,38 @@ func TestWorkerReregistrationDoesNotDoubleCountStats(t *testing.T) {
 	}
 }
 
-// TestFabricClientResubmitsOn404 pins the client's recovery from a
-// coordinator that forgot a run (restart or retention eviction): a 404
-// on the status poll triggers an idempotent resubmit, while any other
-// HTTP error reply fails immediately instead of burning the transport
-// retry budget.
-func TestFabricClientResubmitsOn404(t *testing.T) {
-	var posts, gets atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/fabric/runs", func(w http.ResponseWriter, r *http.Request) {
-		if posts.Add(1) == 1 {
-			writeJSON(w, http.StatusAccepted, RemoteRunStatus{ID: "x", State: JobRunning})
-			return
-		}
-		res := core.Result{Name: "n", Cycles: 5}
-		writeJSON(w, http.StatusAccepted, RemoteRunStatus{ID: "x", State: JobDone, Result: &res})
-	})
-	mux.HandleFunc("GET /v1/fabric/runs/x", func(w http.ResponseWriter, r *http.Request) {
-		gets.Add(1)
-		writeAPIError(w, http.StatusNotFound, codeNotFound, "unknown run")
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	fc := NewFabricClient(ts.URL)
-	fc.Poll = time.Millisecond
-	spec, _ := workload.ByName("Other-Stream-Triad")
-	res, err := fc.Execute("k", arch.Config{}, spec, workload.Options{})
-	if err != nil || res.Cycles != 5 {
-		t.Fatalf("Execute = %+v, %v; want resubmitted result", res, err)
-	}
-	if posts.Load() != 2 || gets.Load() != 1 {
-		t.Fatalf("posts=%d gets=%d, want exactly one 404 then one resubmit", posts.Load(), gets.Load())
-	}
-}
-
-func TestFabricClientFailsFastOnHTTPError(t *testing.T) {
-	var gets atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/fabric/runs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, RemoteRunStatus{ID: "x", State: JobRunning})
-	})
-	mux.HandleFunc("GET /v1/fabric/runs/x", func(w http.ResponseWriter, r *http.Request) {
-		gets.Add(1)
-		writeAPIError(w, http.StatusInternalServerError, codeJobFailed, "boom")
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	fc := NewFabricClient(ts.URL)
-	fc.Poll = time.Millisecond
-	spec, _ := workload.ByName("Other-Stream-Triad")
-	_, err := fc.Execute("k", arch.Config{}, spec, workload.Options{})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("Execute err = %v, want the server's error", err)
-	}
-	if gets.Load() != 1 {
-		t.Fatalf("client polled %d times against an authoritative error, want 1", gets.Load())
-	}
-}
-
-// TestFabricRemoteRunEndpoint drives the coordinator's remote-run
-// surface the way numagpu -remote does — via a FabricClient behind
-// exp.NewRemoteRunner — against a worker-less coordinator (local
-// fallback), and checks key-skew rejection.
-func TestFabricRemoteRunEndpoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
+// TestWorkerRejectsVersionSkew pins the worker-side skew guard: a
+// shard whose RunKey the worker derives differently — a doctored key
+// stands in for a coordinator on another simulator version — comes back
+// as a shard error without simulating, the coordinator fails that run
+// instead of re-leasing it, and nothing reaches the disk cache. The same
+// run under its true key then simulates normally.
+func TestWorkerRejectsVersionSkew(t *testing.T) {
 	srv, ts, _ := clusterServer(t, t.TempDir())
+	w, _, _ := startTestWorker(t, ts.URL, "skew-w", 1)
+	awaitWorkers(t, srv, 1)
 
-	local := exp.NewRunner(fabricOpts())
-	remote := exp.NewRemoteRunner(fabricOpts(), NewFabricClient(ts.URL))
 	spec := fabricOpts().Workloads[0]
-	want := local.Run(local.Base(2), spec)
-	got := remote.Run(remote.Base(2), spec)
-	if got.Cycles != want.Cycles || got.Instructions != want.Instructions {
-		t.Fatalf("remote run differs: %+v vs %+v", got, want)
+	cfg := srv.runner.Base(2)
+	run := WireRun{Key: "v999|doctored", Cfg: cfg, Workload: spec.Name, IterScale: 0.1, MaxCTAs: 64}
+	if _, err := srv.fabric.execute(run); err == nil || !strings.Contains(err.Error(), "run key mismatch") {
+		t.Fatalf("doctored shard: err = %v, want a run key mismatch", err)
 	}
-	if st := remote.Stats(); st.RemoteRuns != 1 || st.Simulations != 0 {
-		t.Fatalf("client stats = %+v, want 1 remote run", st)
+	if snap := srv.fabric.snapshot(); snap.Failed != 1 || snap.Requeued != 0 || snap.Completed != 0 {
+		t.Fatalf("snapshot = %+v, want the run failed once, not requeued", snap)
 	}
-	if st := srv.RunnerStats(); st.Simulations != 1 {
-		t.Fatalf("coordinator stats = %+v, want exactly 1 local simulation", st)
+	if n := w.Stats().Simulations; n != 0 {
+		t.Fatalf("worker simulated %d times for a skewed shard, want 0", n)
 	}
-
-	// Submitting again from a fresh client is a coordinator-side memo
-	// hit: no second simulation.
-	remote2 := exp.NewRemoteRunner(fabricOpts(), NewFabricClient(ts.URL))
-	got2 := remote2.Run(remote2.Base(2), spec)
-	if got2.Cycles != want.Cycles {
-		t.Fatal("second remote run differs")
-	}
-	if st := srv.RunnerStats(); st.Simulations != 1 {
-		t.Fatalf("repeat submission re-simulated: %+v", st)
+	if n := srv.disk.Stats().Entries; n != 0 {
+		t.Fatalf("disk cache has %d entries after a skewed shard, want 0", n)
 	}
 
-	// A doctored key — simulator version skew — is refused loudly.
-	fc := NewFabricClient(ts.URL)
-	_, err := fc.Execute("v999|bogus", local.Base(2), spec, workload.Options{IterScale: 0.1, MaxCTAs: 64})
-	if err == nil || !strings.Contains(err.Error(), "mismatch") {
-		t.Fatalf("key skew accepted: %v", err)
+	run.Key = srv.runner.RunKey(cfg, spec)
+	if res, err := srv.fabric.execute(run); err != nil || res.Cycles == 0 {
+		t.Fatalf("true key: %+v, %v; want a simulated result", res, err)
+	}
+	if n := srv.disk.Stats().Entries; n != 1 {
+		t.Fatalf("disk cache has %d entries after one good shard, want 1", n)
 	}
 }

@@ -60,12 +60,13 @@ type journalRecord struct {
 
 // jobRecord is the durable form of one submitted job.
 type jobRecord struct {
-	ID         string          `json:"id"`
-	Kind       string          `json:"kind"`
-	Name       string          `json:"name"`
-	Sweep      json.RawMessage `json:"sweep,omitempty"`
-	Tenant     string          `json:"tenant,omitempty"`
-	DeadlineMs int64           `json:"deadline_unix_ms,omitempty"`
+	ID         string             `json:"id"`
+	Kind       string             `json:"kind"`
+	Name       string             `json:"name"`
+	Scale      *ExperimentRequest `json:"scale,omitempty"`
+	Sweep      json.RawMessage    `json:"sweep,omitempty"`
+	Tenant     string             `json:"tenant,omitempty"`
+	DeadlineMs int64              `json:"deadline_unix_ms,omitempty"`
 }
 
 // grantRecord is one shard lease that was live when the journal state

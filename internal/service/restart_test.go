@@ -252,3 +252,56 @@ func TestStandaloneRestartReplaysQueuedJobs(t *testing.T) {
 		t.Fatalf("replayed sweep result: %v", err)
 	}
 }
+
+// TestExperimentScaleSurvivesRestart: an experiment submitted with a
+// harness scale is journaled with it, so a kill -9 replay resumes the
+// job at the client's scale, not the daemon's. table1 needs no
+// simulation; it prints the divisor in its header.
+func TestExperimentScaleSurvivesRestart(t *testing.T) {
+	opts := tinyServiceOpts()
+	opts.Divisor = 8
+	cfg := Config{Options: opts, CacheDir: t.TempDir(), Workers: 1, LeaseTTL: time.Minute}
+	srv1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1)
+	cl1 := NewClient(ts1.URL)
+
+	// A registered fabric worker that never polls wedges the only queue
+	// worker on the sweep, so the experiment is still queued at the kill.
+	if _, err := srv1.fabric.register("wedge", "wedge-proc", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := submitTinySweep(cl1); err != nil {
+		t.Fatal(err)
+	}
+	jb, err := cl1.SubmitExperiment("table1", ExperimentRequest{Divisor: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	srv1.kill()
+
+	cfg.LeaseTTL = 200 * time.Millisecond // short grace: the wedged sweep fails over locally
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("replay New: %v", err)
+	}
+	ts2 := httptest.NewServer(srv2)
+	defer func() {
+		ts2.Close()
+		srv2.Close()
+	}()
+	cl2 := NewClient(ts2.URL)
+	if st := waitJobTerminal(t, cl2, jb.ID, 30*time.Second); st.State != JobDone {
+		t.Fatalf("replayed job %s = %s (%s), want done", jb.ID, st.State, st.Error)
+	}
+	nr, err := cl2.ExperimentResult(jb.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := nr.Table.String(); !strings.Contains(out, "1/16 scale") {
+		t.Fatalf("replayed table1 lost the client's divisor:\n%s", out)
+	}
+}

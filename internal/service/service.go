@@ -16,7 +16,8 @@
 // Endpoints:
 //
 //	GET  /v1/experiments          list runnable experiments
-//	POST /v1/experiments/{name}   enqueue one experiment
+//	POST /v1/experiments/{name}   enqueue one experiment (optional body:
+//	                              the harness scale, ExperimentRequest)
 //	POST /v1/sweeps               enqueue a (config, workloads) sweep
 //	GET  /v1/jobs                 page through jobs in submission order
 //	                              (?limit=&after=, cursor in "next")
@@ -41,8 +42,6 @@
 //	POST   /v1/fabric/workers      worker registration
 //	DELETE /v1/fabric/workers/{id} graceful worker departure
 //	POST   /v1/fabric/poll         worker heartbeat/lease/result round trip
-//	POST   /v1/fabric/runs         submit one run (numagpu -remote)
-//	GET    /v1/fabric/runs/{id}    poll a submitted run
 //
 // Result payloads are deterministic: the same request against the same
 // simulator version yields byte-identical /result bodies, whether the
@@ -73,8 +72,11 @@ import (
 // Config sizes a Server.
 type Config struct {
 	// Options configures the underlying exp.Runner (divisor, iteration
-	// scale, workload set, parallelism within one sweep). The Cache and
-	// Progress fields are owned by the Server and overwritten.
+	// scale, workload set, parallelism within one job). An experiment
+	// job that names its own harness scale (ExperimentRequest) replaces
+	// the divisor, iteration scale, grid cap, workload set and topology.
+	// The Cache and Progress fields are owned by the Server and
+	// overwritten.
 	Options exp.Options
 	// CacheDir, when non-empty, enables the persistent result cache
 	// rooted at that directory.
@@ -131,6 +133,7 @@ type job struct {
 	id       string
 	kind     string // "experiment" or "sweep"
 	name     string
+	scale    *ExperimentRequest // experiment jobs: the client's harness scale
 	sweep    *SweepRequest
 	tenant   string
 	deadline time.Time // zero: none
@@ -195,7 +198,7 @@ type CacheStatus struct {
 type Server struct {
 	cfg       Config
 	runner    *exp.Runner // the job queue's runner (the configured options)
-	runners   *runnerSet  // every runner, by (IterScale, MaxCTAs); shares cache+fabric
+	runners   *runnerSet  // every runner, by harness scale; shares cache+fabric
 	disk      *DiskCache
 	fabric    *fabric
 	jnl       *journal // nil when durability is off
@@ -217,15 +220,6 @@ type Server struct {
 	// eventCond (on mu) wakes SSE streams when any job gains an event
 	// or changes state; see events.go.
 	eventCond *sync.Cond
-
-	// Remotely submitted fabric runs (POST /v1/fabric/runs), by the
-	// content address of their RunKey. remoteActive counts runs still
-	// executing; while any is in flight, activeDeadline reports no
-	// deadline (remote runs carry none of their own).
-	remoteMu     sync.Mutex
-	remoteRuns   map[string]*remoteRun
-	remoteOrder  []string
-	remoteActive int
 
 	queue     chan *job
 	wg        sync.WaitGroup
@@ -251,12 +245,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.FabricPoll = 250 * time.Millisecond
 	}
 	s := &Server{
-		cfg:        cfg,
-		start:      time.Now(),
-		jobs:       make(map[string]*job),
-		active:     make(map[*job]bool),
-		queue:      make(chan *job, cfg.QueueDepth),
-		remoteRuns: make(map[string]*remoteRun),
+		cfg:    cfg,
+		start:  time.Now(),
+		jobs:   make(map[string]*job),
+		active: make(map[*job]bool),
+		queue:  make(chan *job, cfg.QueueDepth),
 	}
 	s.eventCond = sync.NewCond(&s.mu)
 	s.admission = newAdmission(cfg.TenantQuota)
@@ -292,11 +285,10 @@ func New(cfg Config) (*Server, error) {
 		s.nextID = state.NextJobID
 	}
 
-	// Every simulation this server runs — job queue or remote
-	// submission — is offered to the sweep fabric first; with no
-	// registered workers the backend reports unavailable and the
-	// runner simulates locally, so a worker-less coordinator behaves
-	// exactly like a standalone daemon. Grants recovered from the
+	// Every simulation this server runs is offered to the sweep fabric
+	// first; with no registered workers the backend reports unavailable
+	// and the runner simulates locally, so a worker-less coordinator
+	// behaves exactly like a standalone daemon. Grants recovered from the
 	// journal become resumed shards reserved for their pre-restart
 	// owners (completed ones dedupe against the disk cache), and any
 	// recovery arms the grace window that holds off the local-simulation
@@ -308,7 +300,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	opts.Backend = fabricBackend{s.fabric}
 	s.runners = newRunnerSet(opts)
-	s.runner = s.runners.runner(opts.IterScale, opts.MaxCTAs)
+	s.runner = s.runners.runner(opts)
 
 	// Re-enqueue the journaled jobs that never finished, preserving
 	// their IDs so clients polling across the restart reconnect to the
@@ -316,7 +308,7 @@ func New(cfg Config) (*Server, error) {
 	// cache, so re-execution costs only the unfinished tail.
 	for i := range state.Jobs {
 		jr := &state.Jobs[i]
-		j := &job{id: jr.ID, kind: jr.Kind, name: jr.Name, tenant: jr.Tenant, state: JobQueued}
+		j := &job{id: jr.ID, kind: jr.Kind, name: jr.Name, scale: jr.Scale, tenant: jr.Tenant, state: JobQueued}
 		if jr.DeadlineMs > 0 {
 			j.deadline = time.UnixMilli(jr.DeadlineMs)
 		}
@@ -356,8 +348,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /v1/fabric/workers", s.handleFabricRegister)
 	mux.HandleFunc("DELETE /v1/fabric/workers/{id}", s.handleFabricDeregister)
 	mux.HandleFunc("POST /v1/fabric/poll", s.handleFabricPoll)
-	mux.HandleFunc("POST /v1/fabric/runs", s.handleFabricSubmitRun)
-	mux.HandleFunc("GET /v1/fabric/runs/{id}", s.handleFabricRunStatus)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /healthz/live", s.handleHealth)
@@ -378,10 +368,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Close stops accepting new submissions, shuts the sweep fabric down
 // (in-flight leased shards fail over to local simulation so the drain
-// cannot hang on a dead fleet), waits for every already-queued job and
-// remote run to finish, then compacts and closes the state journal so
-// the next start replays a clean snapshot. Submissions after Close fail
-// with 503.
+// cannot hang on a dead fleet), waits for every already-queued job to
+// finish, then compacts and closes the state journal so the next start
+// replays a clean snapshot. Submissions after Close fail with 503.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -436,7 +425,7 @@ func (s *Server) journalSnapshot() *journalState {
 
 // record builds the durable form of one job. Caller holds s.mu.
 func (s *Server) record(j *job) jobRecord {
-	jr := jobRecord{ID: j.id, Kind: j.kind, Name: j.name, Tenant: j.tenant}
+	jr := jobRecord{ID: j.id, Kind: j.kind, Name: j.name, Scale: j.scale, Tenant: j.tenant}
 	if !j.deadline.IsZero() {
 		jr.DeadlineMs = j.deadline.UnixMilli()
 	}
@@ -449,18 +438,19 @@ func (s *Server) record(j *job) jobRecord {
 }
 
 // RunnerStats exposes the aggregate run accounting across every runner
-// the server holds — the job queue's plus one per distinct
-// (IterScale, MaxCTAs) seen on the fabric run endpoint — used by the
-// restart tests and the metrics endpoint.
+// the server holds — the job queue's plus one per distinct harness scale
+// an experiment job asked for — used by the restart tests and the
+// metrics endpoint.
 func (s *Server) RunnerStats() exp.Stats { return s.runners.stats() }
 
-// runnerSet lazily builds one exp.Runner per (IterScale, MaxCTAs)
-// pair, all sharing the same cache, progress sink, and fabric backend.
-// The coordinator needs this because remote clients ship their own
-// workload scaling (a -quick client against a default-scale daemon),
-// and RunKeys embed that scaling — each scaling gets its own memo
-// keyspace, while the DiskCache below remains shared and keyed
-// collision-free.
+// runnerSet lazily builds one exp.Runner per harness scale, all sharing
+// the same cache, progress sink, fabric backend and parallelism. The
+// coordinator needs this because experiment jobs may carry their
+// client's scale (a -quick client against a default-scale daemon), and
+// RunKeys embed that scale — each scale gets its own memo keyspace,
+// while the DiskCache below remains shared and keyed collision-free.
+// Workers key it by workload scaling alone: a shard's config is
+// explicit.
 type runnerSet struct {
 	base exp.Options
 
@@ -469,33 +459,41 @@ type runnerSet struct {
 }
 
 type runnerScale struct {
+	divisor   int
 	iterScale float64
 	maxCTAs   int
+	topology  string // canonical encoding; "" for the synthesized crossbar
+	workloads bool   // a non-default workload set
 }
 
 func newRunnerSet(base exp.Options) *runnerSet {
 	return &runnerSet{base: base, runners: make(map[runnerScale]*exp.Runner)}
 }
 
-// runner returns the shared Runner for one workload scaling, creating
-// it on first use. Scale normalization mirrors exp.Options.normalized
-// so 0 and the default never produce two runners with one keyspace.
-func (rs *runnerSet) runner(iterScale float64, maxCTAs int) *exp.Runner {
-	if iterScale <= 0 {
-		iterScale = 1
+// runner returns the shared Runner for the harness scale of o — its
+// Divisor, IterScale, MaxCTAs, Topology and Workloads — creating it on
+// first use with the set's execution options. Scale normalization
+// mirrors exp.Options so 0 and the default never produce two runners
+// with one keyspace.
+func (rs *runnerSet) runner(o exp.Options) *exp.Runner {
+	opts := rs.base
+	opts.Divisor, opts.IterScale, opts.MaxCTAs = o.Divisor, o.IterScale, max(o.MaxCTAs, 0)
+	opts.Topology, opts.Workloads = o.Topology, o.Workloads
+	if opts.Divisor < 1 {
+		opts.Divisor = 8
 	}
-	if maxCTAs < 0 {
-		maxCTAs = 0
+	if opts.IterScale <= 0 {
+		opts.IterScale = 1
 	}
-	key := runnerScale{iterScale, maxCTAs}
+	key := runnerScale{divisor: opts.Divisor, iterScale: opts.IterScale, maxCTAs: opts.MaxCTAs, workloads: opts.Workloads != nil}
+	if opts.Topology != nil {
+		key.topology = opts.Topology.Canonical()
+	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if r, ok := rs.runners[key]; ok {
 		return r
 	}
-	opts := rs.base
-	opts.IterScale = iterScale
-	opts.MaxCTAs = maxCTAs
 	r := exp.NewRunner(opts)
 	rs.runners[key] = r
 	return r
@@ -672,14 +670,8 @@ func (s *Server) worker() {
 // shards. Shards cannot be attributed to a single job (concurrent jobs
 // share shards through the memo), so the answer is conservative: the
 // latest deadline across running jobs, and no deadline at all if any
-// running job — or any in-flight remote run — has none.
+// running job has none.
 func (s *Server) activeDeadline() time.Time {
-	s.remoteMu.Lock()
-	remoteActive := s.remoteActive
-	s.remoteMu.Unlock()
-	if remoteActive > 0 {
-		return time.Time{}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var max time.Time
@@ -735,10 +727,14 @@ func (s *Server) execute(j *job) (payload []byte, err error) {
 		if !ok { // submit validated; registry changed underneath?
 			return nil, fmt.Errorf("unknown experiment %q", j.name)
 		}
+		runner := s.runner
+		if j.scale != nil {
+			runner = s.runners.runner(exp.Options{Divisor: j.scale.Divisor, IterScale: j.scale.IterScale, Topology: j.scale.Topology})
+		}
 		// Experiments discover their runs as they go, so the total is
 		// unknown upfront: the job streams run_done events with no
 		// Total and reports runs_done only.
-		res := e.Run(s.runner.Session(s.runCallback(j, 0)))
+		res := e.Run(runner.Session(s.runCallback(j, 0)))
 		return json.Marshal(e.Named(res))
 	case "sweep":
 		cfg, specs, err := s.sweepPlan(j.sweep)
@@ -841,6 +837,21 @@ type SweepObs struct {
 	Workload string          `json:"workload"`
 	Series   obs.SeriesDoc   `json:"series"`
 	Trace    json.RawMessage `json:"trace,omitempty"`
+}
+
+// ExperimentRequest is the optional POST /v1/experiments/{name} body:
+// the harness scale to run the experiment at, exactly the numagpu
+// flags -divisor, -iterscale (or -quick) and -topology. A job with a
+// body runs on the runner for that scale — built like numagpu's, with
+// the default workload set and no grid cap, plus the daemon's
+// parallelism, disk cache and fabric — so its result is byte-identical
+// to the same experiment run locally by numagpu. Without a body the
+// daemon's own options apply. Zero values take numagpu's defaults
+// (divisor 8, iteration scale 1, the synthesized crossbar).
+type ExperimentRequest struct {
+	Divisor   int            `json:"divisor,omitempty"`
+	IterScale float64        `json:"iter_scale,omitempty"`
+	Topology  *topo.Topology `json:"topology,omitempty"`
 }
 
 // SweepRequest is the POST /v1/sweeps body: a named configuration
@@ -997,6 +1008,19 @@ func (s *Server) handleSubmitExperiment(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	j := &job{kind: "experiment", name: name}
+	var req ExperimentRequest
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != io.EOF { // io.EOF: no body, the daemon's own options
+		if err == nil && req.Topology != nil {
+			err = req.Topology.Validate()
+		}
+		if err != nil {
+			writeAPIError(w, http.StatusBadRequest, codeInvalidArgument, "bad experiment request: %v", err)
+			return
+		}
+		j.scale = &req
+	}
 	if err := s.submitJob(j, r); err != nil {
 		writeSubmitError(w, err)
 		return

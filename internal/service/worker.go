@@ -320,7 +320,7 @@ func (w *Worker) runShard(sh WireShard) (out ShardResult) {
 		out.Error = fmt.Sprintf("unknown workload %q", sh.Run.Workload)
 		return out
 	}
-	runner := w.runners.runner(sh.Run.IterScale, sh.Run.MaxCTAs)
+	runner := w.runners.runner(exp.Options{IterScale: sh.Run.IterScale, MaxCTAs: sh.Run.MaxCTAs})
 	if want := runner.RunKey(sh.Run.Cfg, spec); want != sh.Run.Key {
 		out.Error = fmt.Sprintf("run key mismatch (coordinator %q, worker %q): simulator version skew?", sh.Run.Key, want)
 		return out

@@ -91,7 +91,8 @@ fi
 
 # --fabric: boot one coordinator + two workers on loopback and time
 # `numagpu -quick fig3` executed locally (-j 1) vs through the fabric
-# (-remote, -j 8). The two runs are byte-compared, so the timing doubles
+# (-remote: one experiment job; the coordinator's -j 4, the workers'
+# total window, bounds its in-flight runs). The two runs are byte-compared, so the timing doubles
 # as a correctness check. Results land under the "fabric" key and in the
 # history entry; see docs/PERF.md ("The sweep fabric").
 fabric_json=null
@@ -115,7 +116,7 @@ if [ "$RUN_FABRIC" = 1 ]; then
     }
     trap cleanup_fabric EXIT
 
-    "$gpudbin" -addr "$coord" -cache "$workdir/coord-cache" >"$workdir/coord.log" 2>&1 &
+    "$gpudbin" -addr "$coord" -cache "$workdir/coord-cache" -j 4 >"$workdir/coord.log" 2>&1 &
     fabric_pids+=($!)
     "$gpudbin" -addr 127.0.0.1:8398 -worker -coordinator-url "http://$coord" -window 2 >"$workdir/w1.log" 2>&1 &
     fabric_pids+=($!)
@@ -137,7 +138,7 @@ if [ "$RUN_FABRIC" = 1 ]; then
     local_wall=$(awk -v s="$start" -v e="$end" 'BEGIN { printf "%.1f", (e-s)/1e9 }')
 
     start=$(date +%s%N)
-    "$gpubin" -quick -j 8 -golden -remote "http://$coord" fig3 > "$workdir/fig3.remote"
+    "$gpubin" -quick -golden -remote "http://$coord" fig3 > "$workdir/fig3.remote"
     end=$(date +%s%N)
     cluster_wall=$(awk -v s="$start" -v e="$end" 'BEGIN { printf "%.1f", (e-s)/1e9 }')
 
